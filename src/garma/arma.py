@@ -21,13 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
+from .conditioning import CondPattern
 from .errors import (
     AllConditionedError,
+    DimensionMismatchError,
     InvalidParamError,
     NearUnitRootWarning,
     NonStationaryError,
     SharedRootWarning,
 )
+from .mvn import _free_moments
 
 __all__ = [
     "ArmaSpec",
@@ -173,21 +176,13 @@ class VarianceMatrix:
         return [f"Time[{i}]" for i in self.index_labels]
 
 
-def _ar_roots(ar):
-    """Roots of ``1 - ar[0]*x - ... - ar[p-1]*x**p`` via the companion matrix.
+def _poly_roots(coeffs):
+    """Roots of ``1 + coeffs[0]*x + ... + coeffs[k-1]*x**k`` via the companion
+    matrix; the AR polynomial is ``_poly_roots(-ar)``.
 
     Trailing zero coefficients are trimmed first, so they reduce the degree
     instead of producing spurious infinite roots."""
-    coeffs = np.concatenate(([1.0], -np.asarray(ar, dtype=float)))
-    nz = np.nonzero(coeffs)[0]
-    coeffs = coeffs[: nz[-1] + 1]
-    if len(coeffs) == 1:
-        return np.empty(0, dtype=complex)
-    return np.polynomial.polynomial.polyroots(coeffs)
-
-
-def _ma_roots(ma):
-    coeffs = np.concatenate(([1.0], np.asarray(ma, dtype=float)))
+    coeffs = np.concatenate(([1.0], np.asarray(coeffs, dtype=float)))
     nz = np.nonzero(coeffs)[0]
     coeffs = coeffs[: nz[-1] + 1]
     if len(coeffs) == 1:
@@ -211,7 +206,7 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
     """
     if not isinstance(spec, ArmaSpec):
         spec = ArmaSpec(**spec) if isinstance(spec, dict) else ArmaSpec(*spec)
-    roots = _ar_roots(spec.ar)
+    roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
     moduli = np.abs(roots)
     if moduli.size:
         min_mod = float(moduli.min())
@@ -228,10 +223,10 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
 
 
 def _warn_shared_roots(spec):
-    ar_roots = _ar_roots(spec.ar)
+    ar_roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
     if not ar_roots.size or not spec.q:
         return
-    ma_roots = _ma_roots(spec.ma)
+    ma_roots = _poly_roots(spec.ma)
     if not ma_roots.size:
         return
     dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
@@ -375,33 +370,18 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
         entries = _cov_to_corr(full) if corr else full
         return VarianceMatrix(entries=entries, index_labels=range(1, n + 1))
 
-    from .conditioning import CONDITIONED, FREE, CondPattern
-
     if not isinstance(cond, CondPattern):
         raise InvalidParamError("cond must be a CondPattern (see build_pattern)")
     if len(cond.state) != n:
-        from .errors import DimensionMismatchError
-
         raise DimensionMismatchError(
             f"cond pattern has length {len(cond.state)} but n is {n}"
         )
-    keep = np.nonzero(cond.state != 2)[0]  # drop marginalised positions first
-    sub = full[np.ix_(keep, keep)]
-    state_kept = cond.state[keep]
-    free_local = np.nonzero(state_kept == FREE)[0]
-    cond_local = np.nonzero(state_kept == CONDITIONED)[0]
-    if free_local.size == 0:
+    if not cond.free_mask.any():
         raise AllConditionedError(
             "every retained position is a conditioning position; "
             "no free position remains"
         )
-    if cond_local.size == 0:
-        entries = sub
-    else:
-        from .mvn import _schur_complement
-
-        entries = _schur_complement(sub, free_local, cond_local)
+    free_idx, _, entries = _free_moments(np.zeros(n), full, cond.state, np.zeros((1, n)))
     if corr:
         entries = _cov_to_corr(entries)
-    labels = (keep[free_local] + 1).tolist()
-    return VarianceMatrix(entries=entries, index_labels=labels)
+    return VarianceMatrix(entries=entries, index_labels=free_idx + 1)

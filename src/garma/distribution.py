@@ -15,21 +15,14 @@ import warnings
 
 import numpy as np
 
-from .arma import ArmaSpec, autocovariance, validate_stationary
+from .arma import ArmaSpec, validate_stationary, variance_matrix
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
     DimensionMismatchError,
     InvalidParamError,
 )
-from .mvn import (
-    DEFAULT_CDF_SEED,
-    GaussianParams,
-    cholesky,
-    log_density,
-    mvn_cdf,
-    _conditional_batch,
-)
+from .mvn import DEFAULT_CDF_SEED, GaussianParams, mvn_cdf, _free_moments, _log_density, _sample
 
 __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
 
@@ -86,10 +79,6 @@ def _degenerate_unit(kind, count, log):
     return out
 
 
-def _toeplitz_submatrix(gamma, idx):
-    return gamma[np.abs(idx[:, None] - idx[None, :])]
-
-
 def _free_cond_setup(rows, spec, cond):
     """Common marginalise/condition plumbing for dgarma and pgarma.
 
@@ -97,25 +86,14 @@ def _free_cond_setup(rows, spec, cond):
     tuple (free_values, cond_mean_rows, cond_cov).
     """
     missing, flags = _shared_masks(rows, cond)
-    free_mask = ~missing & ~flags
-    if not free_mask.any():
+    if not (~missing & ~flags).any():
         return None
     # Validates flag/missing consistency (CondOnMissingError on overlap).
-    build_pattern(missing=missing, cond_flags=flags)
+    pattern = build_pattern(missing=missing, cond_flags=flags)
     m = rows.shape[1]
-    gamma = autocovariance(spec, m - 1).values
-    kept = np.nonzero(~missing)[0]
-    cov = _toeplitz_submatrix(gamma, kept)
-    mean = np.full(kept.size, spec.mean)
-    free_local = np.nonzero(free_mask[kept])[0]
-    cond_local = np.nonzero(flags[kept])[0]
-    free_values = rows[:, kept[free_local]]
-    if cond_local.size == 0:
-        cond_means = np.broadcast_to(mean, free_values.shape)
-        return free_values, cond_means, cov
-    cond_values = rows[:, kept[cond_local]]
-    cond_means, cond_cov = _conditional_batch(mean, cov, free_local, cond_local, cond_values)
-    return free_values, cond_means, cond_cov
+    cov = variance_matrix(m, spec).entries
+    free_idx, cond_means, cond_cov = _free_moments(np.full(m, spec.mean), cov, pattern.state, rows)
+    return rows[:, free_idx], cond_means, cond_cov
 
 
 def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
@@ -150,15 +128,7 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     setup = _free_cond_setup(rows, spec, cond)
     if setup is None:
         return _degenerate_unit("density", rows.shape[0], log)
-    free_values, cond_means, cond_cov = setup
-    factor = cholesky(cond_cov)
-    centred = free_values - cond_means
-    from scipy.linalg import solve_triangular
-
-    z = solve_triangular(factor, centred.T, lower=True)
-    quad = np.einsum("ij,ij->j", z, z)
-    k = free_values.shape[1]
-    logdens = -0.5 * k * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(factor))) - 0.5 * quad
+    logdens = _log_density(*setup)
     return logdens if log else np.exp(logdens)
 
 
@@ -204,36 +174,20 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
         raise InvalidParamError(f"m must be a positive integer, got {m!r}")
     n, m = int(n), int(m)
     validate_stationary(spec)
-    if condvals is None:
-        pattern = None
-        cond_idx = np.empty(0, dtype=int)
-    else:
-        pattern = build_pattern(condvals=condvals)
-        if len(pattern) != m:
-            raise DimensionMismatchError(
-                f"condvals has length {len(pattern)}, series length is {m}"
-            )
-        cond_idx = np.nonzero(pattern.cond_mask)[0]
-    free_idx = np.setdiff1d(np.arange(m), cond_idx)
-
+    pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)
+    if len(pattern) != m:
+        raise DimensionMismatchError(
+            f"condvals has length {len(pattern)}, series length is {m}"
+        )
     out = np.empty((n, m))
-    if cond_idx.size:
-        out[:, cond_idx] = pattern.values[cond_idx]
-    if free_idx.size == 0:
+    cond = pattern.cond_mask
+    out[:, cond] = pattern.values[cond]
+    if cond.all():
         return out
 
-    gamma = autocovariance(spec, m - 1).values
-    mean = np.full(m, spec.mean)
-    cov = _toeplitz_submatrix(gamma, np.arange(m))
-    if cond_idx.size:
-        cond_means, cond_cov = _conditional_batch(
-            mean, cov, free_idx, cond_idx, pattern.values[cond_idx][None, :]
-        )
-        free_mean, free_cov = cond_means[0], cond_cov
-    else:
-        free_mean, free_cov = mean, cov
-    factor = cholesky(free_cov)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, free_idx.size))
-    out[:, free_idx] = free_mean + z @ factor.T
+    cov = variance_matrix(m, spec).entries
+    free_idx, free_means, free_cov = _free_moments(
+        np.full(m, spec.mean), cov, pattern.state, pattern.values[None, :]
+    )
+    out[:, free_idx] = _sample(free_means[0], free_cov, n, seed)
     return out

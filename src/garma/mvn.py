@@ -19,6 +19,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
+from .conditioning import CONDITIONED, FREE, CondPattern
 from .errors import (
     AllConditionedError,
     AllMarginalisedError,
@@ -154,6 +155,15 @@ def cholesky(cov) -> np.ndarray:
     )
 
 
+def _log_density(rows, mean, cov):
+    """Log-density of each row of ``rows`` under N(mean, cov); ``mean`` may be
+    one vector or one mean row per data row."""
+    factor = cholesky(cov)
+    z = solve_triangular(factor, (rows - mean).T, lower=True)
+    quad = np.einsum("ij,ij->j", z, z)
+    return -0.5 * cov.shape[0] * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
+
+
 def log_density(x, params: GaussianParams):
     """Log-density of ``x`` (one vector, or a matrix of row vectors).
 
@@ -167,32 +177,32 @@ def log_density(x, params: GaussianParams):
         raise DimensionMismatchError(
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
-    factor = cholesky(p.cov)
-    z = solve_triangular(factor, (rows - p.mean).T, lower=True)
-    quad = np.einsum("ij,ij->j", z, z)
-    out = -0.5 * p.dim * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
+    out = _log_density(rows, p.mean, p.cov)
     return float(out[0]) if single else out
 
 
-def _conditional_batch(mean, cov, free_idx, cond_idx, value_rows):
-    """Conditional moments for several conditioning-value rows at once.
+def _free_moments(mean, cov, state, value_rows):
+    """Moments of the FREE coordinates of N(mean, cov) given the CONDITIONED
+    ones, for each row of ``value_rows`` (one column per coordinate; only the
+    conditioned columns are read).
 
-    The conditional covariance does not depend on the values, so it is
-    computed once; one triangular solve then yields every conditional mean.
+    MARGINALISED coordinates are left out of every block; one Schur
+    complement, shared by all rows, then absorbs the conditioned block.
+    Returns ``(free_idx, means, cov)`` with one row of ``means`` per value row.
     """
+    free_idx = np.nonzero(state == FREE)[0]
+    cond_idx = np.nonzero(state == CONDITIONED)[0]
+    if cond_idx.size == 0:
+        means = np.broadcast_to(mean[free_idx], (value_rows.shape[0], free_idx.size))
+        if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
+            return free_idx, means, cov
+        return free_idx, means, cov[np.ix_(free_idx, free_idx)]
     factor = cholesky(cov[np.ix_(cond_idx, cond_idx)])
     cross = solve_triangular(factor, cov[np.ix_(cond_idx, free_idx)], lower=True)
     cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    dev = solve_triangular(factor, (value_rows - mean[cond_idx]).T, lower=True)
-    cond_means = mean[free_idx] + (cross.T @ dev).T
-    return cond_means, cond_cov
-
-
-def _schur_complement(cov, free_idx, cond_idx):
-    zeros = np.zeros((1, len(cond_idx)))
-    _, cond_cov = _conditional_batch(np.zeros(cov.shape[0]), cov, free_idx, cond_idx, zeros)
-    return cond_cov
+    dev = solve_triangular(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T, lower=True)
+    return free_idx, mean[free_idx] + (cross.T @ dev).T, cond_cov
 
 
 def conditional_moments(params: GaussianParams, pattern, values=None) -> ConditionalMoments:
@@ -207,8 +217,6 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
     positions are used).  When omitted, the values bound in ``pattern`` are
     used.
     """
-    from .conditioning import CondPattern
-
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     if not isinstance(pattern, CondPattern):
         raise InvalidParamError("pattern must be a CondPattern (see build_pattern)")
@@ -216,74 +224,41 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
         raise DimensionMismatchError(
             f"pattern has length {len(pattern)}, distribution has dimension {p.dim}"
         )
-    free_idx = np.nonzero(pattern.free_mask)[0]
-    cond_idx = np.nonzero(pattern.cond_mask)[0]
-    marg_idx = np.nonzero(pattern.marg_mask)[0]
-    if free_idx.size == 0 and cond_idx.size == 0:
-        raise AllMarginalisedError("every coordinate is marginalised")
-    if free_idx.size == 0:
+    cond_mask = pattern.cond_mask
+    n_cond = int(np.count_nonzero(cond_mask))
+    if not pattern.free_mask.any():
+        if n_cond == 0:
+            raise AllMarginalisedError("every coordinate is marginalised")
         raise AllConditionedError("no free coordinate remains")
-    if cond_idx.size == 0:
-        if marg_idx.size == 0:
-            return ConditionalMoments(cond_mean=p.mean, cond_cov=p.cov)
-        return ConditionalMoments(
-            cond_mean=p.mean[free_idx], cond_cov=p.cov[np.ix_(free_idx, free_idx)]
-        )
 
+    vals = pattern.values
     if values is None:
-        vals = pattern.values[cond_idx]
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals[cond_mask])):
             raise CondOnMissingError(
                 "pattern has conditioned positions without bound values; "
                 "pass them via the values argument"
             )
-    else:
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if vals.shape[0] == p.dim and p.dim != cond_idx.size:
-            vals = vals[cond_idx]
-        elif vals.shape[0] != cond_idx.size:
+    elif n_cond:
+        given = np.atleast_1d(np.asarray(values, dtype=float))
+        if given.shape[0] == p.dim:
+            vals = given
+        elif given.shape[0] == n_cond:
+            vals = np.zeros(p.dim)
+            vals[cond_mask] = given
+        else:
             raise DimensionMismatchError(
-                f"{cond_idx.size} conditioning values needed, got {vals.shape[0]}"
+                f"{n_cond} conditioning values needed, got {given.shape[0]}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals[cond_mask])):
             raise CondOnMissingError("conditioning values must all be finite")
-    cond_means, cond_cov = _conditional_batch(p.mean, p.cov, free_idx, cond_idx, vals[None, :])
-    return ConditionalMoments(cond_mean=cond_means[0], cond_cov=cond_cov)
+    _, means, cond_cov = _free_moments(p.mean, p.cov, pattern.state, vals[None, :])
+    return ConditionalMoments(cond_mean=means[0], cond_cov=cond_cov)
 
 
 # --- bivariate normal quadrature -------------------------------------------
-# Gauss-Legendre half-tables (weights, nodes) at 6, 12, and 20 points.
+# Gauss-Legendre rules (nodes, weights) at 6, 12, and 20 points.
 
-_GL_TABLES = {
-    6: (
-        np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904]),
-        np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970]),
-    ),
-    12: (
-        np.array([
-            0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-            0.2031674267230659, 0.2334925365383547, 0.2491470458134029,
-        ]),
-        np.array([
-            0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-            0.5873179542866171, 0.3678314989981802, 0.1252334085114692,
-        ]),
-    ),
-    20: (
-        np.array([
-            0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-            0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-            0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-            0.1527533871307259,
-        ]),
-        np.array([
-            0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-            0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-            0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-            0.07652652113349733,
-        ]),
-    ),
-}
+_GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
 
 
 def _phid(z):
@@ -298,11 +273,11 @@ def _bvn_upper(dh, dk, r):
     1e-14.
     """
     if abs(r) < 0.3:
-        w, x = _GL_TABLES[6]
+        x, w = _GL_RULES[6]
     elif abs(r) < 0.75:
-        w, x = _GL_TABLES[12]
+        x, w = _GL_RULES[12]
     else:
-        w, x = _GL_TABLES[20]
+        x, w = _GL_RULES[20]
     h, k = float(dh), float(dk)
     hk = h * k
     bvn = 0.0
@@ -311,9 +286,8 @@ def _bvn_upper(dh, dk, r):
             hs = (h * h + k * k) / 2.0
             asr = math.asin(r)
             for wi, xi in zip(w, x):
-                for sgn in (-1.0, 1.0):
-                    sn = math.sin(asr * (sgn * xi + 1.0) / 2.0)
-                    bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+                sn = math.sin(asr * (xi + 1.0) / 2.0)
+                bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
             bvn = bvn * asr / (4.0 * math.pi)
         bvn += _phid(-h) * _phid(-k)
     else:
@@ -344,20 +318,19 @@ def _bvn_upper(dh, dk, r):
                 )
             a /= 2.0
             for wi, xi in zip(w, x):
-                for sgn in (-1.0, 1.0):
-                    xs = (a * (sgn * xi + 1.0)) ** 2
-                    rs = math.sqrt(1.0 - xs)
-                    asr = -(b_sq / xs + hk) / 2.0
-                    if asr > -100.0:
-                        bvn += (
-                            a
-                            * wi
-                            * math.exp(asr)
-                            * (
-                                math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                                - (1.0 + c * xs * (1.0 + d * xs))
-                            )
+                xs = (a * (xi + 1.0)) ** 2
+                rs = math.sqrt(1.0 - xs)
+                asr = -(b_sq / xs + hk) / 2.0
+                if asr > -100.0:
+                    bvn += (
+                        a
+                        * wi
+                        * math.exp(asr)
+                        * (
+                            math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+                            - (1.0 + c * xs * (1.0 + d * xs))
                         )
+                    )
             bvn = -bvn / (2.0 * math.pi)
         if r > 0.0:
             bvn += _phid(-max(h, k))
@@ -491,12 +464,15 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     return _qmc_cdf(corr, z, tol, seed, max_points)
 
 
+def _sample(mean, cov, count, seed):
+    factor = cholesky(cov)
+    z = np.random.default_rng(seed).standard_normal((count, cov.shape[0]))
+    return mean + z @ factor.T
+
+
 def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     """Draw ``count`` rows from N(mean, cov), reproducibly for a given seed."""
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise InvalidParamError(f"count must be a non-negative integer, got {count!r}")
-    factor = cholesky(p.cov)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(count), p.dim))
-    return p.mean + z @ factor.T
+    return _sample(p.mean, p.cov, int(count), seed)

@@ -4,7 +4,8 @@ The intensity at frequency k/n is |X_k| / sqrt(n), where X is the discrete
 Fourier transform of the (optionally centred and scaled) series.  The test
 statistic is the largest intensity over nonzero frequencies; its null
 distribution under exchangeability is built by permuting the series, and the
-p-value is the add-one permutation estimate.
+p-value is the add-one permutation estimate
+``(1 + #{null >= observed * (1 - 1e-12)}) / (sims + 1)``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ __all__ = ["IntensityVector", "SpectrumTestResult", "dft", "intensity", "spectru
 # chunk layout is a pure function of (n, sims), never of the worker count,
 # which keeps results independent of parallelism.
 _CHUNK_CELLS = 1 << 22
+
+# Cyclic shifts and reversals of a series have the same |DFT|, so exact ties
+# with the statistic are common, but rounding (fft for the statistic, rfft of
+# a permuted copy for the null) splits them; this relative margin counts them.
+_TIE_REL = 1e-12
 
 ALTERNATIVE_TEXT = (
     "distribution of time-series vector is not exchangeable "
@@ -238,7 +244,10 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
 
     The statistic is the maximum centred-and-scaled intensity over nonzero
     frequencies.  ``sims`` random permutations of the series build the null
-    sample, and the p-value is ``(1 + #{null >= observed}) / (sims + 1)``.
+    sample, and the p-value is
+    ``(1 + #{null >= observed * (1 - 1e-12)}) / (sims + 1)``: null maxima
+    within a relative 1e-12 of the statistic count as ties, since shifted
+    and reversed copies of the series tie it up to rounding.
 
     Parameters
     ----------
@@ -300,7 +309,8 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
                 done += size
                 _emit_progress(progress, done, sims)
     null_sample = np.concatenate(pieces)
-    p_value = (1.0 + float(np.count_nonzero(null_sample >= statistic))) / (sims + 1.0)
+    ties_from = statistic * (1.0 - _TIE_REL)
+    p_value = (1.0 + float(np.count_nonzero(null_sample >= ties_from))) / (sims + 1.0)
     return SpectrumTestResult(
         statistic=statistic,
         p_value=p_value,

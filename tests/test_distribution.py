@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import multivariate_normal, norm
 
 from garma import (
     AllConditionedWarning,
@@ -23,7 +25,9 @@ from garma import (
     mvn,
     pgarma,
     rgarma,
+    variance_matrix,
 )
+from conftest import brute_conditional, random_stationary_spec
 
 WHITE = ArmaSpec()
 AR1 = ArmaSpec(ar=(0.5,))
@@ -366,3 +370,54 @@ class TestRgarma:
     def test_non_stationary_rejected(self):
         with pytest.raises(NonStationaryError):
             rgarma(2, 3, ArmaSpec(ar=(1.2,)))
+
+
+class TestMixedPattern:
+    """Marginalised (NaN) and conditioned positions in one query, against
+    dense oracles on the explicit Toeplitz covariance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(2, 12))
+    def test_against_dense_oracles(self, seed, m):
+        rng = np.random.default_rng(seed)
+        spec = random_stationary_spec(rng)
+        state = rng.integers(FREE, MARGINALISED + 1, size=m)
+        state[rng.integers(m)] = FREE
+        missing = state == MARGINALISED
+        flags = state == CONDITIONED
+        free_idx = np.nonzero(state == FREE)[0]
+        cond_idx = np.nonzero(flags)[0]
+        kept = np.nonzero(~missing)[0]
+        params = toeplitz_params(spec, m)
+        x = spec.mean + rng.normal(size=(3, m))
+        x[:, missing] = np.nan
+
+        # log p(free | cond) = log p(kept) - log p(cond)
+        got = dgarma(x, spec, cond=flags, log=True)
+        want = multivariate_normal(
+            params.mean[kept], params.cov[np.ix_(kept, kept)]
+        ).logpdf(x[:, kept])
+        if cond_idx.size:
+            want = want - multivariate_normal(
+                params.mean[cond_idx], params.cov[np.ix_(cond_idx, cond_idx)]
+            ).logpdf(x[:, cond_idx])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+        condvals = np.where(flags, x[0], np.nan)
+        mixed = build_pattern(condvals=condvals, missing=missing)
+        vm = variance_matrix(m, spec, cond=mixed)
+        omean, ocov = brute_conditional(
+            params.mean, params.cov, free_idx, cond_idx, x[0, cond_idx]
+        )
+        assert vm.index_labels == tuple(free_idx + 1)
+        scale = np.abs(ocov).max()
+        assert np.max(np.abs(vm.entries - ocov)) <= 1e-10 * scale
+        cm = mvn.conditional_moments(params, mixed)
+        assert np.max(np.abs(cm.cond_mean - omean)) <= 1e-10 * max(1.0, np.abs(omean).max())
+
+        # rgarma draws its free columns with the one sampler, bit for bit.
+        pattern = build_pattern(condvals=condvals)
+        cm = mvn.conditional_moments(params, pattern)
+        draws = rgarma(4, m, spec, condvals=condvals, seed=seed)
+        expected = mvn.sample(mvn.GaussianParams(cm.cond_mean, cm.cond_cov), 4, seed=seed)
+        assert np.array_equal(draws[:, ~flags], expected)

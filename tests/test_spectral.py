@@ -190,6 +190,15 @@ class TestSpectrumTest:
         assert k == pytest.approx(round(k), abs=1e-9)
         assert 1 / 1000 <= result.p_value <= 1.0
 
+    def test_n3_every_permutation_ties(self):
+        # At n = 3 every permutation is a cyclic shift or a reversal, so
+        # every null maximum equals the statistic and p must be exactly 1.
+        rng = np.random.default_rng(31)
+        for seed in rng.integers(0, 2**32, size=10):
+            x = rng.normal(size=3)
+            result = spectrum_test(x, sims=2000, seed=int(seed), progress=False)
+            assert result.p_value == 1.0
+
     def test_null_sample_length(self):
         x = np.random.default_rng(25).normal(size=10)
         result = spectrum_test(x, sims=777, seed=5, progress=False)
