@@ -9,7 +9,10 @@ The model for a series ``y`` with mean ``mu`` and innovations of variance
 Stationarity requires every root of the AR characteristic polynomial
 ``1 - ar[0]*x - ... - ar[p-1]*x**p`` to lie strictly outside the unit circle.
 Under that condition the series is a moving average of infinite order whose
-weights (``psi``) decay geometrically, and all covariances follow from them.
+weights (``psi``) decay geometrically.  The autocovariances are computed
+exactly from the AR and MA coefficients (a small linear system and the AR
+recursion); the ``psi`` weights only certify where their tail may be set to
+zero.
 """
 
 from __future__ import annotations
@@ -240,6 +243,41 @@ def _warn_shared_roots(spec):
         )
 
 
+def _cauchy_bound(spec, moduli):
+    """Radius ``r`` and ``log M(r)`` of the Cauchy bound on the weights.
+
+    For ``1 < r <`` the smallest AR root modulus, ``|psi_k| <= M(r) / r**k``,
+    where ``M(r)`` bounds the transfer function on the circle of radius ``r``:
+    the MA polynomial from above and each AR factor ``1 - x/root`` from below.
+    """
+    r = min(0.5 * (1.0 + float(moduli.min())), 2.0)
+    if r <= 1.0:
+        raise InvalidParamError(
+            "an AR root lies within rounding of the unit circle; "
+            "no tail bound exists in double precision"
+        )
+    theta = np.asarray(spec.ma, dtype=float)
+    q = spec.q
+    log_num = math.log(1.0 + float(np.abs(theta) @ r ** np.arange(1, q + 1))) if q else 0.0
+    log_den = float(np.sum(np.log1p(-r / moduli)))
+    return r, log_num - log_den
+
+
+def _psi_prefix(phi, theta, count):
+    """``psi[0] .. psi[count-1]`` by the recursion of :func:`psi_weights`, for
+    AR and MA coefficient arrays ``phi`` and ``theta``."""
+    p, q = len(phi), len(theta)
+    weights = np.zeros(count)
+    weights[0] = 1.0
+    for k in range(1, count):
+        acc = theta[k - 1] if k <= q else 0.0
+        mk = min(k, p)
+        if mk:
+            acc += phi[:mk] @ weights[k - mk:k][::-1]
+        weights[k] = acc
+    return weights
+
+
 def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     """Moving-average weights of the stationary model, truncated so that the
     absolute tail sum is provably below ``tol``.
@@ -268,12 +306,7 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
         weights = np.concatenate(([1.0], theta))
         return PsiWeights(weights=weights, truncation_index=q, tail_bound=0.0)
 
-    rho_min = float(moduli.min())
-    r = min(0.5 * (1.0 + rho_min), 2.0)
-    # Bound the MA polynomial on |x| = r and the AR polynomial away from 0.
-    log_num = math.log(1.0 + float(np.abs(theta) @ r ** np.arange(1, q + 1))) if q else 0.0
-    log_den = float(np.sum(np.log1p(-r / moduli)))
-    log_m = log_num - log_den
+    r, log_m = _cauchy_bound(spec, moduli)
     log_r = math.log(r)
     log_tol = math.log(tol)
     log_gap = math.log(r - 1.0)
@@ -288,44 +321,77 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
             )
     tail_bound = math.exp(log_m - trunc * log_r - log_gap)
 
-    weights = np.zeros(trunc + 1)
-    weights[0] = 1.0
-    for k in range(1, trunc + 1):
-        acc = theta[k - 1] if k <= q else 0.0
-        mk = min(k, p)
-        if mk:
-            acc += phi[:mk] @ weights[k - mk:k][::-1]
-        weights[k] = acc
+    weights = _psi_prefix(phi, theta, trunc + 1)
     return PsiWeights(weights=weights, truncation_index=trunc, tail_bound=tail_bound)
 
 
 def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TOL) -> AcvSequence:
     """Autocovariances ``gamma(0) .. gamma(max_lag)`` of the stationary model.
 
-    Each value is ``error_var * sum_{i>=0} psi[i] * psi[i+lag]`` computed from
-    the truncated weights; the truncation tolerance is tightened until the
-    certified error is below ``rel_tol * gamma(0)``.
+    With ``theta[0] = 1`` and ``c[k] = error_var * sum_{j=k..q} theta[j] *
+    psi[j-k]`` (zero for ``k > q``), the autocovariances satisfy
+
+        gamma(k) - sum_{i=1..p} ar[i-1] * gamma(|k-i|) = c[k],   k >= 0.
+
+    The equations for ``k = 0 .. p`` form a ``(p+1)``-square linear system,
+    solved for ``gamma(0) .. gamma(p)``; higher lags follow from the same
+    equation as a forward recursion.  Only ``psi[0] .. psi[q]`` are needed,
+    so the values are exact up to rounding (McLeod 1975; Brockwell & Davis,
+    section 3.3).
+
+    The recursion stops at the first lag ``K`` where the Cauchy bound of
+    :func:`psi_weights` certifies ``|gamma(k)| <= error_var * M(r)**2 *
+    r**-k / (1 - r**-2) < rel_tol * gamma(0)`` for every ``k >= K``; lags
+    past ``K`` are exact zeros, so ``rel_tol * gamma(0)`` bounds their error
+    (a pure moving average has ``K = q`` and no error).  ``K`` depends only
+    on the model and ``rel_tol``, so a shorter call returns a bit-identical
+    prefix of a longer one.
     """
     if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
         raise InvalidParamError(f"max_lag must be a non-negative integer, got {max_lag!r}")
-    if not rel_tol > 0.0:
-        raise InvalidParamError(f"rel_tol must be > 0, got {rel_tol!r}")
+    if not 0.0 < rel_tol < math.inf:
+        raise InvalidParamError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    moduli = validate_stationary(spec)
+    _warn_shared_roots(spec)
 
-    tol = rel_tol
-    for _ in range(4):
-        pw = psi_weights(spec, tol)
-        w = pw.weights
-        a_max = max(float(np.max(np.abs(w))), pw.tail_bound)
-        sum_sq = float(w @ w)
-        # Truncation changes each lag sum by at most a_max * tail.
-        if a_max * pw.tail_bound <= rel_tol * sum_sq:
-            break
-        tol = min(tol / 2.0, rel_tol * sum_sq / (2.0 * a_max))
-    trunc = pw.truncation_index
-    lags = np.arange(max_lag + 1)
-    gamma = np.zeros(max_lag + 1)
-    for ell in lags[lags <= trunc]:
-        gamma[ell] = w[: trunc + 1 - ell] @ w[ell:]
+    phi = spec.ar
+    p, q = spec.p, spec.q
+    theta = np.concatenate(([1.0], spec.ma))
+    psi = _psi_prefix(np.asarray(phi), theta[1:], q + 1)
+    c = [float(theta[k:] @ psi[: q + 1 - k]) for k in range(q + 1)]
+
+    system = np.eye(p + 1)
+    for k in range(p + 1):
+        for i in range(1, p + 1):
+            system[k, abs(k - i)] -= phi[i - 1]
+    rhs = np.zeros(p + 1)
+    rhs[: min(p, q) + 1] = c[: p + 1]
+    try:
+        head = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        head = np.zeros(1)
+    if not 0.0 < head[0] < math.inf:
+        raise InvalidParamError(
+            "model is too close to the unit circle for its autocovariance "
+            "system to be solved in double precision"
+        )
+
+    if moduli.size == 0:
+        flush = q
+    else:
+        r, log_m = _cauchy_bound(spec, moduli)
+        excess = 2.0 * log_m - math.log1p(-(r ** -2)) - math.log(rel_tol * head[0])
+        flush = max(0, math.floor(excess / math.log(r)) + 1)
+    stop = min(int(max_lag), flush)
+
+    g = head[: stop + 1].tolist()
+    for k in range(p + 1, stop + 1):
+        acc = c[k] if k <= q else 0.0
+        for i in range(1, p + 1):
+            acc += phi[i - 1] * g[k - i]
+        g.append(acc)
+    gamma = np.zeros(int(max_lag) + 1)
+    gamma[: stop + 1] = g
     return AcvSequence(values=spec.error_var * gamma, is_correlation=False)
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time defining sum, the simulation oracle runs the
-ARMA recursion directly as a linear filter, and the conditional-moments
-oracle partitions an explicitly inverted covariance.
+ARMA recursion directly as a linear filter, the autocovariance oracle sums
+products of a filter impulse response, and the conditional-moments oracle
+partitions an explicitly inverted covariance.
 """
 
 import numpy as np
@@ -28,6 +29,22 @@ def simulate_series(spec, steps, burn, rng):
     b = np.concatenate(([1.0], np.asarray(spec.ma, dtype=float)))
     a = np.concatenate(([1.0], -np.asarray(spec.ar, dtype=float)))
     return spec.mean + lfilter(b, a, eps)[burn:]
+
+
+def acvf_oracle(spec, lags):
+    """error_var * sum_i psi[i] * psi[i+k] for each k in ``lags``, with the
+    psi weights taken from the impulse response of the ARMA filter, run until
+    its tail is below 1e-300 so that truncation cannot be seen."""
+    b = np.concatenate(([1.0], np.asarray(spec.ma, dtype=float)))
+    a = np.trim_zeros(np.concatenate(([1.0], -np.asarray(spec.ar, dtype=float))), "b")
+    lags = np.asarray(lags, dtype=int)
+    min_root = np.abs(np.roots(a[::-1])).min() if a.size > 1 else np.e
+    steps = int(np.ceil(1.25 * 700.0 / np.log(min_root))) + 100 + int(lags.max())
+    impulse = np.zeros(steps)
+    impulse[0] = 1.0
+    psi = lfilter(b, a, impulse)
+    assert np.abs(psi[-100:]).max() < 1e-300 * np.abs(psi).max()
+    return spec.error_var * np.array([psi[: steps - k] @ psi[k:] for k in lags])
 
 
 def brute_conditional(mean, cov, free_idx, cond_idx, values):

@@ -1,6 +1,9 @@
 """Tests for model validation, psi weights, autocovariance, and variance
 matrices."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from garma import (
     AllConditionedError,
     ArmaSpec,
     DimensionMismatchError,
+    GarmaError,
     InvalidParamError,
     NearUnitRootWarning,
     NonStationaryError,
@@ -23,7 +27,7 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
-from conftest import random_stationary_spec, simulate_series
+from conftest import acvf_oracle, random_stationary_spec, simulate_series
 
 GARMA22 = ArmaSpec(ar=(0.8, -0.2), ma=(0.6, 0.3))
 
@@ -87,8 +91,6 @@ class TestValidateStationary:
             validate_stationary(ArmaSpec(ar=(phi,)))
 
     def test_comfortable_root_does_not_warn(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             validate_stationary(ArmaSpec(ar=(0.5,)))
@@ -179,14 +181,88 @@ class TestAutocovariance:
         theta = 0.7
         acv = autocovariance(ArmaSpec(ma=(theta,), error_var=2.0), 3)
         expected = 2.0 * np.array([1 + theta**2, theta, 0.0, 0.0])
-        assert np.allclose(acv.values, expected, rtol=0, atol=1e-14)
+        assert np.allclose(acv.values, expected, rtol=1e-13, atol=0)
 
     def test_ar1_closed_form(self):
-        phi = 0.5
-        acv = autocovariance(ArmaSpec(ar=(phi,)), 5)
-        lags = np.arange(6)
-        expected = phi**lags / (1 - phi**2)
-        assert np.allclose(acv.values, expected, rtol=1e-13, atol=1e-13)
+        for phi in (0.5, -0.9, 0.99):
+            acv = autocovariance(ArmaSpec(ar=(phi,), error_var=1.5), 20)
+            lags = np.arange(21)
+            expected = 1.5 * phi**lags / (1 - phi**2)
+            assert np.allclose(acv.values, expected, rtol=1e-13, atol=0)
+
+    def test_ar2_closed_form(self):
+        # Reciprocal roots a and b: psi_k = (a**(k+1) - b**(k+1)) / (a - b),
+        # and summing the three geometric series of psi_j * psi_(j+h) gives
+        # gamma(h) in closed form.
+        a, b, var = 0.9, -0.5, 1.7
+        h = np.arange(31)
+        expected = var / (a - b) ** 2 * (
+            a ** (h + 2) / (1 - a * a)
+            + b ** (h + 2) / (1 - b * b)
+            - (a * b ** (h + 1) + b * a ** (h + 1)) / (1 - a * b)
+        )
+        acv = autocovariance(ArmaSpec(ar=(a + b, -a * b), error_var=var), 30)
+        assert np.allclose(acv.values, expected, rtol=1e-13, atol=0)
+
+    def test_arma11_closed_form(self):
+        phi, theta, var = 0.7, 0.4, 0.8
+        h = np.arange(1, 21)
+        gamma0 = var * (1 + 2 * phi * theta + theta**2) / (1 - phi**2)
+        gamma1 = var * (1 + phi * theta) * (phi + theta) / (1 - phi**2)
+        expected = np.concatenate(([gamma0], gamma1 * phi ** (h - 1)))
+        acv = autocovariance(ArmaSpec(ar=(phi,), ma=(theta,), error_var=var), 20)
+        assert np.allclose(acv.values, expected, rtol=1e-13, atol=0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_impulse_response_oracle(self, seed):
+        spec = random_stationary_spec(
+            np.random.default_rng(seed), p_max=4, q_max=3, min_root=1.01
+        )
+        got = autocovariance(spec, 300).values
+        want = acvf_oracle(spec, np.arange(301))
+        assert np.abs(got - want).max() <= 1e-10 * want[0]
+
+    def test_ar1_close_to_unit_root_is_fast(self):
+        phi = 0.99999
+        start = time.perf_counter()
+        acv = autocovariance(ArmaSpec(ar=(phi,)), 10)
+        elapsed = time.perf_counter() - start
+        expected = phi ** np.arange(11) / (1 - phi**2)
+        assert np.allclose(acv.values, expected, rtol=1e-10, atol=0)
+        assert elapsed < 1.0
+
+    def test_ar1_within_warning_margin_of_unit_root(self):
+        phi = 1.0 - 1e-7
+        with pytest.warns(NearUnitRootWarning):
+            acv = autocovariance(ArmaSpec(ar=(phi,)), 3)
+        expected = phi ** np.arange(4) / (1 - phi**2)
+        assert np.allclose(acv.values, expected, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GARMA22,
+            ArmaSpec(ar=(0.99,)),
+            ArmaSpec(ma=(0.9, 0.5, 0.2)),
+            ArmaSpec(ar=(0.5, 0.2, -0.1), ma=(0.4,), error_var=3.0),
+        ],
+    )
+    def test_shorter_call_is_exact_prefix(self, spec):
+        short = autocovariance(spec, 5).values
+        long = autocovariance(spec, 500).values
+        assert short.tobytes() == long[:6].tobytes()
+
+    def test_negligible_tail_is_exact_zero(self):
+        phi = 0.8
+        acv = autocovariance(ArmaSpec(ar=(phi,)), 5000).values
+        nonzero = np.flatnonzero(acv)
+        last = nonzero[-1]
+        # One contiguous head, then exact zeros, all far from subnormal.
+        assert np.array_equal(nonzero, np.arange(last + 1)) and last < 5000
+        assert acv[nonzero].min() >= 1e-100 * acv[0]
+        # Every zeroed lag was truly below rel_tol * gamma(0).
+        assert phi ** (last + 1) < 1e-14
 
     def test_lag0_dominates(self):
         rng = np.random.default_rng(77)
@@ -198,6 +274,29 @@ class TestAutocovariance:
     def test_negative_max_lag(self):
         with pytest.raises(InvalidParamError):
             autocovariance(GARMA22, -1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_rel_tol(self, bad):
+        with pytest.raises(InvalidParamError):
+            autocovariance(GARMA22, 3, rel_tol=bad)
+
+    @pytest.mark.parametrize(
+        "ar",
+        [
+            # Double roots within 1e-9, 1e-15 and 2e-16 of the unit circle
+            # make the linear system numerically singular.
+            (2 * (1 - 1e-9), -((1 - 1e-9) ** 2)),
+            (2 * (1 - 1e-15), -((1 - 1e-15) ** 2)),
+            (2 * (1 - 2e-16), -((1 - 2e-16) ** 2)),
+            # A root one ulp outside the circle leaves no radius for a bound.
+            (1 - 1e-16,),
+        ],
+    )
+    def test_root_at_unit_circle_in_double_precision_fails_typed(self, ar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearUnitRootWarning)
+            with pytest.raises(GarmaError):
+                autocovariance(ArmaSpec(ar=ar, ma=(0.3,)), 4)
 
     def test_simulation_oracle_small(self):
         # The recursion run directly should produce sample autocovariances
