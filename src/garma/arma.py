@@ -56,6 +56,9 @@ DEFAULT_PSI_TOL = 1e-14
 # Hard cap on the truncation index; beyond this the model is numerically
 # indistinguishable from a unit-root model at the requested tolerance.
 _MAX_PSI_TERMS = 1 << 24
+# Refinement steps allowed for the autocovariance system before the model is
+# declared too close to the unit circle for double precision.
+_MAX_REFINE_STEPS = 16
 
 
 def _coeff_tuple(values, name):
@@ -325,6 +328,64 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     return PsiWeights(weights=weights, truncation_index=trunc, tail_bound=tail_bound)
 
 
+def _dyadic(value):
+    """A finite float as ``(n, e)`` with ``value == n / 2**e`` exactly."""
+    n, d = float(value).as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _dyadic_sum(terms):
+    """The float nearest to the exact sum of ``(n, e)`` terms."""
+    top = max(e for _, e in terms)
+    return sum(n << (top - e) for n, e in terms) / (1 << top)
+
+
+def _solve_head(phi, rhs):
+    """Solve ``gamma(k) - sum_i phi[i-1] * gamma(|k-i|) = rhs[k]``, ``k = 0 ..
+    p``, by iterative refinement with exactly computed residuals.
+
+    Rounding in the factorisation is amplified by the condition number of the
+    system, which grows as AR roots approach the unit circle (about ``1/d**3``
+    for a double root at distance ``d``).  The residual of ``phi`` and
+    ``rhs`` as given is computed exactly in integers, so each correction
+    shrinks the error by roughly that condition number times machine epsilon,
+    and the loop ends once a correction is below one ulp of the largest value.
+    """
+    p = len(phi)
+    system = np.eye(p + 1)
+    for k in range(p + 1):
+        for i in range(1, p + 1):
+            system[k, abs(k - i)] -= phi[i - 1]
+    exact_phi = [_dyadic(v) for v in phi]
+    exact_rhs = [_dyadic(v) for v in rhs]
+    eps = np.finfo(float).eps
+    try:
+        inverse = np.linalg.inv(system)
+        head = inverse @ rhs
+        for _ in range(_MAX_REFINE_STEPS):
+            x = [_dyadic(v) for v in head.tolist()]
+            residual = [
+                _dyadic_sum(
+                    [exact_rhs[k], (-x[k][0], x[k][1])]
+                    + [(a * b, e + f) for (a, e), (b, f) in
+                       ((exact_phi[i - 1], x[abs(k - i)]) for i in range(1, p + 1))]
+                )
+                for k in range(p + 1)
+            ]
+            step = inverse @ residual
+            head = head + step
+            if np.abs(step).max() <= eps * np.abs(head).max():
+                if head[0] > 0.0:
+                    return head
+                break
+    except (np.linalg.LinAlgError, ValueError, OverflowError):
+        pass
+    raise InvalidParamError(
+        "model is too close to the unit circle for its autocovariance "
+        "system to be solved in double precision"
+    )
+
+
 def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TOL) -> AcvSequence:
     """Autocovariances ``gamma(0) .. gamma(max_lag)`` of the stationary model.
 
@@ -336,16 +397,25 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     The equations for ``k = 0 .. p`` form a ``(p+1)``-square linear system,
     solved for ``gamma(0) .. gamma(p)``; higher lags follow from the same
     equation as a forward recursion.  Only ``psi[0] .. psi[q]`` are needed,
-    so the values are exact up to rounding (McLeod 1975; Brockwell & Davis,
+    so nothing is truncated before the tail (McLeod 1975; Brockwell & Davis,
     section 3.3).
 
     The recursion stops at the first lag ``K`` where the Cauchy bound of
     :func:`psi_weights` certifies ``|gamma(k)| <= error_var * M(r)**2 *
     r**-k / (1 - r**-2) < rel_tol * gamma(0)`` for every ``k >= K``; lags
-    past ``K`` are exact zeros, so ``rel_tol * gamma(0)`` bounds their error
-    (a pure moving average has ``K = q`` and no error).  ``K`` depends only
-    on the model and ``rel_tol``, so a shorter call returns a bit-identical
-    prefix of a longer one.
+    past ``K``, and any earlier lag whose computed magnitude is below
+    ``rel_tol * gamma(0)``, are exact zeros, so the output holds no
+    subnormal numbers (a pure moving average has ``K = q``).  Each of these
+    choices depends only on the model, ``rel_tol`` and the lag, so a shorter
+    call returns a bit-identical prefix of a longer one.
+
+    ``rel_tol * gamma(0)`` bounds the error of the zeroed lags.  The system
+    is solved by iterative refinement with exact residuals, so ``gamma(0) ..
+    gamma(p)`` solve it to about one ulp even for AR roots near the unit
+    circle, where a plain solve loses digits (a double root ``1e-5`` from the
+    circle still refines; the refinement stops converging near ``1e-6``, and
+    such a model raises :class:`InvalidParamError`).  The forward recursion
+    adds rounding that grows slowly with the lag.
     """
     if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
         raise InvalidParamError(f"max_lag must be a non-negative integer, got {max_lag!r}")
@@ -360,21 +430,9 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     psi = _psi_prefix(np.asarray(phi), theta[1:], q + 1)
     c = [float(theta[k:] @ psi[: q + 1 - k]) for k in range(q + 1)]
 
-    system = np.eye(p + 1)
-    for k in range(p + 1):
-        for i in range(1, p + 1):
-            system[k, abs(k - i)] -= phi[i - 1]
     rhs = np.zeros(p + 1)
     rhs[: min(p, q) + 1] = c[: p + 1]
-    try:
-        head = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        head = np.zeros(1)
-    if not 0.0 < head[0] < math.inf:
-        raise InvalidParamError(
-            "model is too close to the unit circle for its autocovariance "
-            "system to be solved in double precision"
-        )
+    head = _solve_head(phi, rhs)
 
     if moduli.size == 0:
         flush = q
@@ -392,6 +450,7 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
         g.append(acc)
     gamma = np.zeros(int(max_lag) + 1)
     gamma[: stop + 1] = g
+    gamma[np.abs(gamma) < rel_tol * head[0]] = 0.0
     return AcvSequence(values=spec.error_var * gamma, is_correlation=False)
 
 

@@ -180,8 +180,9 @@ class TestAutocovariance:
     def test_ma1_closed_form(self):
         theta = 0.7
         acv = autocovariance(ArmaSpec(ma=(theta,), error_var=2.0), 3)
-        expected = 2.0 * np.array([1 + theta**2, theta, 0.0, 0.0])
-        assert np.allclose(acv.values, expected, rtol=1e-13, atol=0)
+        expected = 2.0 * np.array([1 + theta**2, theta])
+        assert np.allclose(acv.values[:2], expected, rtol=0, atol=1e-14)
+        assert np.array_equal(acv.values[2:], [0.0, 0.0])
 
     def test_ar1_closed_form(self):
         for phi in (0.5, -0.9, 0.99):
@@ -239,6 +240,28 @@ class TestAutocovariance:
         expected = phi ** np.arange(4) / (1 - phi**2)
         assert np.allclose(acv.values, expected, rtol=1e-8, atol=0)
 
+    @pytest.mark.parametrize("bits", [7, 10, 17])
+    def test_double_ar_root_near_unit_circle(self, bits):
+        # A double root at 1 / a, a = 1 - 2**-bits, so that the coefficients
+        # 2a and -a**2 are exact.  psi_k = (k + 1) * a**k, and with x = a**2,
+        # gamma(h) = a**h * ((1 + x) / (1 - x)**3 + h / (1 - x)**2).
+        d = 2.0**-bits
+        a, omx = 1 - d, d * (2 - d)
+        h = np.arange(201)
+        expected = a**h * ((1 + a * a) / omx**3 + h / omx**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearUnitRootWarning)
+            acv = autocovariance(ArmaSpec(ar=(2 * a, -a * a)), 200).values
+        assert np.abs(acv - expected).max() <= 1e-12 * expected[0]
+
+    def test_double_ar_root_near_unit_circle_matches_oracle(self):
+        # The oracle sums about 900,000 products per lag here; its own
+        # rounding is near 3e-12 * gamma(0), so the bound is its usual one.
+        spec = ArmaSpec(ar=(2 * (1 - 2.0**-10), -((1 - 2.0**-10) ** 2)), ma=(-0.4,))
+        got = autocovariance(spec, 20).values
+        want = acvf_oracle(spec, np.arange(21))
+        assert np.abs(got - want).max() <= 1e-10 * want[0]
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -253,8 +276,10 @@ class TestAutocovariance:
         long = autocovariance(spec, 500).values
         assert short.tobytes() == long[:6].tobytes()
 
-    def test_negligible_tail_is_exact_zero(self):
-        phi = 0.8
+    # phi = 1e-7 decays far faster than the Cauchy radius (capped at 2)
+    # certifies, so lags before the flush lag must be zeroed one by one.
+    @pytest.mark.parametrize("phi", [0.8, 1e-7])
+    def test_negligible_tail_is_exact_zero(self, phi):
         acv = autocovariance(ArmaSpec(ar=(phi,)), 5000).values
         nonzero = np.flatnonzero(acv)
         last = nonzero[-1]
@@ -283,8 +308,9 @@ class TestAutocovariance:
     @pytest.mark.parametrize(
         "ar",
         [
-            # Double roots within 1e-9, 1e-15 and 2e-16 of the unit circle
-            # make the linear system numerically singular.
+            # Double roots within 1e-6, 1e-9, 1e-15 and 2e-16 of the unit
+            # circle make the linear system too ill-conditioned to refine.
+            (2 * (1 - 1e-6), -((1 - 1e-6) ** 2)),
             (2 * (1 - 1e-9), -((1 - 1e-9) ** 2)),
             (2 * (1 - 1e-15), -((1 - 1e-15) ** 2)),
             (2 * (1 - 2e-16), -((1 - 2e-16) ** 2)),
