@@ -37,6 +37,7 @@ from .errors import (
     NearUnitRootWarning,
     NonStationaryError,
     NotPositiveDefiniteError,
+    NumericalAdjustmentWarning,
     SharedRootWarning,
     ToleranceNotReachedError,
     ZeroVarianceError,
@@ -88,4 +89,5 @@ __all__ = [
     "NearUnitRootWarning",
     "SharedRootWarning",
     "AllConditionedWarning",
+    "NumericalAdjustmentWarning",
 ]

@@ -228,13 +228,20 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
     return moduli
 
 
-def _warn_shared_roots(spec):
-    ar_roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
-    if not ar_roots.size or not spec.q:
+def _warn_shared_roots(spec, moduli):
+    """Warn when the AR and MA polynomials share a root.
+
+    ``moduli`` are the AR root moduli from :func:`validate_stationary`.  Two
+    roots closer than the tolerance have moduli closer than it too, so the AR
+    roots are solved for again only when some MA root's modulus is that close
+    to one of them.
+    """
+    if not moduli.size or not spec.q:
         return
     ma_roots = _poly_roots(spec.ma)
-    if not ma_roots.size:
+    if not ma_roots.size or np.abs(np.abs(ma_roots)[:, None] - moduli).min() >= _SHARED_ROOT_TOL:
         return
+    ar_roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
     dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
     if dist.min() < _SHARED_ROOT_TOL:
         warnings.warn(
@@ -297,7 +304,7 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     if not (isinstance(tol, (int, float)) and tol > 0.0):
         raise InvalidParamError(f"tol must be > 0, got {tol!r}")
     moduli = validate_stationary(spec)
-    _warn_shared_roots(spec)
+    _warn_shared_roots(spec, moduli)
 
     phi = np.asarray(spec.ar, dtype=float)
     theta = np.asarray(spec.ma, dtype=float)
@@ -422,8 +429,13 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     if not 0.0 < rel_tol < math.inf:
         raise InvalidParamError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     moduli = validate_stationary(spec)
-    _warn_shared_roots(spec)
+    _warn_shared_roots(spec, moduli)
+    return AcvSequence(values=_acvf(spec, int(max_lag), moduli, rel_tol), is_correlation=False)
 
+
+def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
+    """The values of :func:`autocovariance`, for a model whose AR root moduli
+    :func:`validate_stationary` has returned."""
     phi = spec.ar
     p, q = spec.p, spec.q
     theta = np.concatenate(([1.0], spec.ma))
@@ -440,7 +452,7 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
         r, log_m = _cauchy_bound(spec, moduli)
         excess = 2.0 * log_m - math.log1p(-(r ** -2)) - math.log(rel_tol * head[0])
         flush = max(0, math.floor(excess / math.log(r)) + 1)
-    stop = min(int(max_lag), flush)
+    stop = min(max_lag, flush)
 
     g = head[: stop + 1].tolist()
     for k in range(p + 1, stop + 1):
@@ -448,10 +460,16 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
         for i in range(1, p + 1):
             acc += phi[i - 1] * g[k - i]
         g.append(acc)
-    gamma = np.zeros(int(max_lag) + 1)
+    gamma = np.zeros(max_lag + 1)
     gamma[: stop + 1] = g
     gamma[np.abs(gamma) < rel_tol * head[0]] = 0.0
-    return AcvSequence(values=spec.error_var * gamma, is_correlation=False)
+    return spec.error_var * gamma
+
+
+def _covariance(n, spec, moduli):
+    """Toeplitz covariance of ``n`` consecutive observations of a validated
+    model (see :func:`_acvf`)."""
+    return toeplitz(_acvf(spec, n - 1, moduli))
 
 
 def acf_vector(n: int, spec: ArmaSpec, corr: bool = False) -> AcvSequence:
@@ -489,8 +507,9 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParamError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    acv = autocovariance(spec, n - 1)
-    full = toeplitz(acv.values)
+    moduli = validate_stationary(spec)
+    _warn_shared_roots(spec, moduli)
+    full = _covariance(n, spec, moduli)
     if cond is None:
         entries = _cov_to_corr(full) if corr else full
         return VarianceMatrix(entries=entries, index_labels=range(1, n + 1))

@@ -7,6 +7,14 @@ row marginalise those positions (drop rows and columns); boolean flags turn
 positions into conditioning values, so ``dgarma``/``pgarma`` evaluate the
 conditional density/CDF of the remaining free positions.  ``rgarma`` draws
 rows whose conditioned positions reproduce the requested values exactly.
+
+``dgarma`` never forms the ``m x m`` covariance.  It computes ``log p(free |
+cond) = log p(kept) - log p(cond)`` as two exact Kalman-filter passes over
+Harvey's state-space form of the model, each skipping the positions it does
+not observe, in ``O(m)`` time and memory.  ``pgarma`` and ``rgarma`` use the
+dense Toeplitz covariance: the quasi-Monte Carlo CDF needs the conditional
+covariance itself, and ``rgarma`` draws through its Cholesky factor exactly
+as :func:`garma.mvn.sample` does.
 """
 
 from __future__ import annotations
@@ -14,17 +22,31 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-from .arma import ArmaSpec, validate_stationary, variance_matrix
+from .arma import ArmaSpec, _acvf, _covariance, _psi_prefix, _warn_shared_roots, validate_stationary
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
     DimensionMismatchError,
     InvalidParamError,
+    NotPositiveDefiniteError,
 )
-from .mvn import DEFAULT_CDF_SEED, GaussianParams, mvn_cdf, _free_moments, _log_density, _sample
+from .mvn import (
+    _LOG_2PI,
+    DEFAULT_CDF_SEED,
+    GaussianParams,
+    _factor,
+    _free_moments,
+    _sample,
+    mvn_cdf,
+)
 
 __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
+
+# Change of the filter covariance, relative to the one-step prediction
+# variance, below which it counts as steady.
+_STEADY_TOL = 1e-15
 
 
 def as_series_matrix(x) -> np.ndarray:
@@ -79,21 +101,116 @@ def _degenerate_unit(kind, count, log):
     return out
 
 
-def _free_cond_setup(rows, spec, cond):
-    """Common marginalise/condition plumbing for dgarma and pgarma.
-
-    Returns None when the query is degenerate (no free position), else a
-    tuple (free_values, cond_mean_rows, cond_cov).
-    """
+def _row_pattern(rows, cond):
+    """The pattern shared by the rows of a dgarma/pgarma query, or None when
+    the query is degenerate (no free position)."""
     missing, flags = _shared_masks(rows, cond)
     if not (~missing & ~flags).any():
         return None
     # Validates flag/missing consistency (CondOnMissingError on overlap).
-    pattern = build_pattern(missing=missing, cond_flags=flags)
-    m = rows.shape[1]
-    cov = variance_matrix(m, spec).entries
-    free_idx, cond_means, cond_cov = _free_moments(np.full(m, spec.mean), cov, pattern.state, rows)
-    return rows[:, free_idx], cond_means, cond_cov
+    return build_pattern(missing=missing, cond_flags=flags)
+
+
+def _state_space(spec, moduli):
+    """Harvey's state-space form of ``spec``, with state size ``r = max(p,
+    q + 1)``: the transition matrix ``T`` (AR coefficients ``phi`` in its
+    first column, ones on its superdiagonal), the innovation covariance ``Q``
+    and the stationary state covariance ``P0``.
+
+    The state is ``a[0] = y[t]`` and, for ``i >= 1``, ``a[i] = sum_{s>=1}
+    phi[i+s-1] * y[t-s] + sum_{s>=0} theta[i+s] * e[t-s]`` (``theta[0] =
+    1``), so ``P0`` follows exactly from ``gamma(0) .. gamma(r-1)`` and
+    ``Cov(y[t-s], e[t-u]) = error_var * psi[u-s]``, without a Lyapunov solve.
+    """
+    p, q, var = spec.p, spec.q, spec.error_var
+    r = max(p, q + 1)
+    phi = np.zeros(r)
+    phi[:p] = spec.ar
+    theta = np.zeros(r)
+    theta[0] = 1.0
+    theta[1:q + 1] = spec.ma
+    on_y = np.zeros((r, r))  # state loadings on y[t], y[t-1], ...
+    on_e = np.zeros((r, r))  # ... and on e[t], e[t-1], ...
+    on_y[0, 0] = 1.0
+    for i in range(1, r):
+        on_y[i, 1:r - i + 1] = phi[i:]
+        on_e[i, :r - i] = theta[i:]
+    lag = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
+    cov_y = _acvf(spec, r - 1, moduli)[lag]
+    cov_ye = var * np.triu(_psi_prefix(phi[:p], theta[1:q + 1], r)[lag])
+    cross = on_y @ cov_ye @ on_e.T
+    p0 = on_y @ cov_y @ on_y.T + cross + cross.T + var * (on_e @ on_e.T)
+    transition = np.eye(r, k=1)
+    transition[:, 0] = phi
+    return transition, var * np.outer(theta, theta), 0.5 * (p0 + p0.T)
+
+
+def _filter_gains(observed, transition, q_cov, p0):
+    """Kalman filter variances ``F[t]`` and predictive gains ``K[t]`` for the
+    positions marked in ``observed``; ``K[t]`` is zero elsewhere.
+
+    They depend only on the pattern, so every row shares them.  Within a run
+    of observed positions the covariance update stops once ``P`` no longer
+    changes; a run of ``k`` unobserved positions moves ``P`` to ``P0 +
+    T**k (P - P0) T**k'`` in one step.
+    """
+    m = observed.size
+    variances = np.ones(m)
+    gains = np.zeros((m, transition.shape[0]))
+    edges = np.flatnonzero(observed[1:] != observed[:-1]) + 1
+    back = transition.T
+    cov = p0
+    for start, end in zip([0, *edges], [*edges, m]):
+        if not observed[start]:
+            if end < m:
+                power = np.linalg.matrix_power(transition, end - start)
+                cov = p0 + power @ (cov - p0) @ power.T
+            continue
+        for t in range(start, end):
+            f = cov[0, 0]
+            if not f > 0.0:
+                raise NotPositiveDefiniteError(
+                    f"one-step prediction variance {f!r} at position {t + 1} is not positive"
+                )
+            ahead = transition @ cov
+            gain = ahead[:, 0] / f
+            step = ahead @ back
+            step -= ahead[:, :1] * gain
+            step += q_cov
+            variances[t] = f
+            gains[t] = gain
+            steady = np.abs(step - cov).max() <= _STEADY_TOL * f
+            cov = step
+            if steady:
+                variances[t + 1:end] = f
+                gains[t + 1:end] = gain
+                break
+    return variances, gains
+
+
+def _filter_log_density(dev, observed, model):
+    """Exact Gaussian log-density of the ``observed`` columns of each row of
+    ``dev`` (the rows minus the mean), by the Kalman filter.
+
+    With ``x`` the rows set to zero at unobserved positions, the innovations
+    ``v`` solve ``v[t] + sum_k (K[t-k][k-1] - phi[k-1]) v[t-k] = x[t] - sum_k
+    phi[k-1] x[t-k]``: one unit lower-triangular system of bandwidth ``r``
+    for all rows (at an unobserved ``t``, ``v[t]`` is minus the prediction),
+    solved by LAPACK's triangular banded solver.
+    """
+    variances, gains = _filter_gains(observed, *model)
+    phi = model[0][:, 0]
+    r, m = phi.size, observed.size
+    band = np.empty((r + 1, m))
+    band[0] = 1.0
+    band[1:] = gains.T - phi[:, None]
+    x = np.where(observed, dev, 0.0)
+    rhs = x.copy()
+    for k in np.flatnonzero(phi) + 1:
+        rhs[:, k:] -= phi[k - 1] * x[:, :-k]
+    innov = dtbtrs(band, rhs.T, uplo="L", diag="U")[0][observed]
+    f = variances[observed]
+    return -0.5 * (f.size * _LOG_2PI + np.log(f).sum() + (innov**2 / f[:, None]).sum(axis=0))
 
 
 def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
@@ -120,15 +237,31 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
 
     Notes
     -----
+    The log-density is ``log p(kept) - log p(conditioned)``, each term one
+    exact Kalman-filter pass over the series in time order that skips the
+    positions it does not observe (Jones 1980; Gardner, Harvey & Phillips
+    1980), started from the exact stationary state covariance.  With ``r =
+    max(p, q + 1)`` a pass costs ``O(m r**3)`` time and ``O(m r)`` memory:
+    its gain loop runs once for all rows, stops updating once the filter is
+    steady and crosses each unobserved run in one step, and the innovations
+    of every row come from one banded triangular solve.  No ``m x m`` matrix
+    is formed.  A non-positive prediction variance raises
+    :class:`NotPositiveDefiniteError`.
+
     When no free position remains, the density is 1 (log-density 0) by
     convention and an :class:`AllConditionedWarning` is emitted.
     """
     rows = as_series_matrix(x)
-    validate_stationary(spec)
-    setup = _free_cond_setup(rows, spec, cond)
-    if setup is None:
+    moduli = validate_stationary(spec)
+    pattern = _row_pattern(rows, cond)
+    if pattern is None:
         return _degenerate_unit("density", rows.shape[0], log)
-    logdens = _log_density(*setup)
+    _warn_shared_roots(spec, moduli)
+    model = _state_space(spec, moduli)
+    dev = rows - spec.mean
+    logdens = _filter_log_density(dev, ~pattern.marg_mask, model)
+    if pattern.cond_mask.any():
+        logdens -= _filter_log_density(dev, pattern.cond_mask, model)
     return logdens if log else np.exp(logdens)
 
 
@@ -142,11 +275,16 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     constant, so repeated calls agree.
     """
     rows = as_series_matrix(x)
-    validate_stationary(spec)
-    setup = _free_cond_setup(rows, spec, cond)
-    if setup is None:
+    moduli = validate_stationary(spec)
+    pattern = _row_pattern(rows, cond)
+    if pattern is None:
         return _degenerate_unit("probability", rows.shape[0], log)
-    free_values, cond_means, cond_cov = setup
+    _warn_shared_roots(spec, moduli)
+    m = rows.shape[1]
+    free_idx, cond_means, cond_cov = _free_moments(
+        np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
+    )
+    free_values = rows[:, free_idx]
     out = np.empty(rows.shape[0])
     for i in range(rows.shape[0]):
         row_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,)) if seed is not None else None
@@ -173,7 +311,7 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidParamError(f"m must be a positive integer, got {m!r}")
     n, m = int(n), int(m)
-    validate_stationary(spec)
+    moduli = validate_stationary(spec)
     pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)
     if len(pattern) != m:
         raise DimensionMismatchError(
@@ -185,9 +323,9 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     if cond.all():
         return out
 
-    cov = variance_matrix(m, spec).entries
+    _warn_shared_roots(spec, moduli)
     free_idx, free_means, free_cov = _free_moments(
-        np.full(m, spec.mean), cov, pattern.state, pattern.values[None, :]
+        np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, pattern.values[None, :]
     )
-    out[:, free_idx] = _sample(free_means[0], free_cov, n, seed)
+    out[:, free_idx] = _sample(free_means[0], _factor(free_cov), n, seed)
     return out

@@ -95,3 +95,23 @@ class SharedRootWarning(GarmaWarning):
 class AllConditionedWarning(GarmaWarning):
     """Every non-marginalised position is a conditioning value; the density or
     probability is set to one by convention."""
+
+
+class NumericalAdjustmentWarning(GarmaWarning):
+    """A covariance was adjusted to make it factorable: its diagonal was
+    inflated by ``eps`` times its mean diagonal entry.
+
+    Attributes
+    ----------
+    eps : float
+        The inflation, as a fraction of the mean diagonal entry.
+    """
+
+    def __init__(self, eps, message=None):
+        self.eps = float(eps)
+        if message is None:
+            message = (
+                f"covariance diagonal inflated by {self.eps:g} of its mean "
+                "to make it positive definite"
+            )
+        super().__init__(message)

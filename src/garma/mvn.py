@@ -12,6 +12,7 @@ separation-of-variables transform in three or more.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamError,
     NotPositiveDefiniteError,
+    NumericalAdjustmentWarning,
     ToleranceNotReachedError,
 )
 
@@ -46,7 +48,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Diagonal inflation schedule tried after a failed factorisation, as a
 # fraction of the mean diagonal entry.
-_INFLATION_EPS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+_INFLATION_EPS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 # Documented default seed for the quasi-Monte Carlo CDF path.
 DEFAULT_CDF_SEED = 1000003
@@ -132,36 +134,42 @@ class CdfResult:
             raise InvalidParamError(f"probability out of range: {self.value!r}")
 
 
-def cholesky(cov) -> np.ndarray:
-    """Lower-triangular Cholesky factor of ``cov``.
+def _factor(c):
+    """Lower Cholesky factor of a finite, exactly symmetric covariance (one
+    the library built, or one :func:`cholesky` has checked).
 
     On failure the diagonal is inflated by ``eps * mean(diag)`` for ``eps``
-    escalating from 1e-14 to 1e-8 before giving up.
+    escalating from 1e-14 to 1e-8, with a :class:`NumericalAdjustmentWarning`
+    carrying the ``eps`` that succeeded.
     """
-    c = _check_square_sym(cov)
-    c = 0.5 * (c + c.T)
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        pass
     n = c.shape[0]
-    mean_diag = float(np.mean(np.diag(c))) if n else 0.0
+    mean_diag = float(np.mean(np.diag(c)))
     for eps in _INFLATION_EPS:
         try:
-            if eps:
-                return np.linalg.cholesky(c + (eps * mean_diag) * np.eye(n))
-            return np.linalg.cholesky(c)
+            factor = np.linalg.cholesky(c + (eps * mean_diag) * np.eye(n))
         except np.linalg.LinAlgError:
             continue
+        warnings.warn(NumericalAdjustmentWarning(eps), stacklevel=3)
+        return factor
     raise NotPositiveDefiniteError(
         "covariance is not positive definite, even after diagonal inflation "
         f"up to {_INFLATION_EPS[-1]:g} of the mean diagonal"
     )
 
 
-def _log_density(rows, mean, cov):
-    """Log-density of each row of ``rows`` under N(mean, cov); ``mean`` may be
-    one vector or one mean row per data row."""
-    factor = cholesky(cov)
-    z = solve_triangular(factor, (rows - mean).T, lower=True)
-    quad = np.einsum("ij,ij->j", z, z)
-    return -0.5 * cov.shape[0] * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
+def cholesky(cov) -> np.ndarray:
+    """Lower-triangular Cholesky factor of ``cov``.
+
+    On failure the diagonal is inflated by ``eps * mean(diag)`` for ``eps``
+    escalating from 1e-14 to 1e-8 before giving up; an inflation is reported
+    by a :class:`~garma.errors.NumericalAdjustmentWarning` carrying ``eps``.
+    """
+    c = _check_square_sym(cov)
+    return _factor(0.5 * (c + c.T))
 
 
 def log_density(x, params: GaussianParams):
@@ -177,7 +185,10 @@ def log_density(x, params: GaussianParams):
         raise DimensionMismatchError(
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
-    out = _log_density(rows, p.mean, p.cov)
+    factor = cholesky(p.cov)
+    z = solve_triangular(factor, (rows - p.mean).T, lower=True)
+    quad = np.einsum("ij,ij->j", z, z)
+    out = -0.5 * p.dim * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
     return float(out[0]) if single else out
 
 
@@ -197,7 +208,7 @@ def _free_moments(mean, cov, state, value_rows):
         if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
             return free_idx, means, cov
         return free_idx, means, cov[np.ix_(free_idx, free_idx)]
-    factor = cholesky(cov[np.ix_(cond_idx, cond_idx)])
+    factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
     cross = solve_triangular(factor, cov[np.ix_(cond_idx, free_idx)], lower=True)
     cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
@@ -464,9 +475,8 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     return _qmc_cdf(corr, z, tol, seed, max_points)
 
 
-def _sample(mean, cov, count, seed):
-    factor = cholesky(cov)
-    z = np.random.default_rng(seed).standard_normal((count, cov.shape[0]))
+def _sample(mean, factor, count, seed):
+    z = np.random.default_rng(seed).standard_normal((count, factor.shape[0]))
     return mean + z @ factor.T
 
 
@@ -475,4 +485,4 @@ def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise InvalidParamError(f"count must be a non-negative integer, got {count!r}")
-    return _sample(p.mean, p.cov, int(count), seed)
+    return _sample(p.mean, cholesky(p.cov), int(count), seed)

@@ -4,11 +4,15 @@ The oracles here deliberately avoid the library's own code paths: the DFT
 oracle is the quadratic-time defining sum, the simulation oracle runs the
 ARMA recursion directly as a linear filter, the autocovariance oracle sums
 products of a filter impulse response, and the conditional-moments oracle
-partitions an explicitly inverted covariance.
+partitions an explicitly inverted covariance.  The pattern log-density
+oracles are scipy's dense multivariate normal on that autocovariance's
+Toeplitz matrix and, for AR(1), the closed-form Markov likelihood.
 """
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
+from scipy.stats import multivariate_normal
 
 from garma import ArmaSpec
 
@@ -45,6 +49,40 @@ def acvf_oracle(spec, lags):
     psi = lfilter(b, a, impulse)
     assert np.abs(psi[-100:]).max() < 1e-300 * np.abs(psi).max()
     return spec.error_var * np.array([psi[: steps - k] @ psi[k:] for k in lags])
+
+
+def dense_pattern_log_density(spec, x, missing, flags):
+    """log p(kept) - log p(conditioned) for each row of ``x``, from scipy's
+    multivariate normal on the Toeplitz matrix of :func:`acvf_oracle`."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    m = x.shape[1]
+    cov = toeplitz(acvf_oracle(spec, np.arange(m)))
+
+    def block_logpdf(idx):
+        dist = multivariate_normal(np.full(idx.size, spec.mean), cov[np.ix_(idx, idx)])
+        return np.atleast_1d(dist.logpdf(x[:, idx]))
+
+    want = block_logpdf(np.flatnonzero(~np.asarray(missing)))
+    cond_idx = np.flatnonzero(flags)
+    if cond_idx.size:
+        want = want - block_logpdf(cond_idx)
+    return want
+
+
+def ar1_markov_log_density(phi, error_var, mean, x, observed):
+    """Log-density of the ``observed`` positions of one AR(1) series: each
+    observation given the previous observed one, ``d`` steps back, is normal
+    with mean ``mean + phi**d * (prev - mean)`` and variance ``error_var *
+    (1 - phi**(2d)) / (1 - phi**2)``."""
+    idx = np.flatnonzero(observed)
+    dev = np.asarray(x, dtype=float)[idx] - mean
+    gamma0 = error_var / ((1.0 - phi) * (1.0 + phi))
+    gaps = np.diff(idx)
+    var = gamma0 * -np.expm1(2.0 * gaps * np.log(abs(phi)))
+    resid = dev[1:] - np.sign(phi) ** gaps * np.exp(gaps * np.log(abs(phi))) * dev[:-1]
+    terms = np.log(2.0 * np.pi * np.concatenate(([gamma0], var)))
+    terms += np.concatenate(([dev[0] ** 2 / gamma0], resid**2 / var))
+    return -0.5 * float(terms.sum())
 
 
 def brute_conditional(mean, cov, free_idx, cond_idx, values):

@@ -1,6 +1,10 @@
 """Tests for conditioning patterns and the dgarma/pgarma/rgarma trio."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from garma import (
     InvalidParamError,
     MARGINALISED,
     NonStationaryError,
+    NotPositiveDefiniteError,
+    SharedRootWarning,
     autocovariance,
     build_pattern,
     dgarma,
@@ -27,7 +33,13 @@ from garma import (
     rgarma,
     variance_matrix,
 )
-from conftest import brute_conditional, random_stationary_spec
+from garma import distribution
+from conftest import (
+    ar1_markov_log_density,
+    brute_conditional,
+    dense_pattern_log_density,
+    random_stationary_spec,
+)
 
 WHITE = ArmaSpec()
 AR1 = ArmaSpec(ar=(0.5,))
@@ -421,3 +433,143 @@ class TestMixedPattern:
         draws = rgarma(4, m, spec, condvals=condvals, seed=seed)
         expected = mvn.sample(mvn.GaussianParams(cm.cond_mean, cm.cond_cov), 4, seed=seed)
         assert np.array_equal(draws[:, ~flags], expected)
+
+
+def _invert_ma(spec):
+    """The same model with every MA root replaced by its reciprocal, which
+    makes an invertible MA part non-invertible (and vice versa)."""
+    ma = np.asarray(spec.ma)
+    if not ma.size or ma[-1] == 0.0:
+        return spec
+    flipped = np.concatenate((ma[-2::-1], [1.0])) / ma[-1]
+    return ArmaSpec(ar=spec.ar, ma=flipped, mean=spec.mean, error_var=spec.error_var)
+
+
+def _ar1_series(phi, m, rng):
+    x = np.empty(m)
+    x[0] = rng.normal() / math.sqrt((1.0 - phi) * (1.0 + phi))
+    e = rng.normal(size=m)
+    for t in range(1, m):
+        x[t] = phi * x[t - 1] + e[t]
+    return x
+
+
+class TestKalmanEngine:
+    """dgarma's Kalman-filter passes against dense and closed-form oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 80),
+        shape=st.sampled_from(["mixed", "leading", "trailing", "long_gap", "single"]),
+        flip_ma=st.booleans(),
+    )
+    def test_against_dense_oracle(self, seed, m, shape, flip_ma):
+        rng = np.random.default_rng(seed)
+        spec = random_stationary_spec(rng, p_max=3, q_max=3, min_root=1.01)
+        if flip_ma:
+            spec = _invert_ma(spec)
+        state = rng.integers(FREE, MARGINALISED + 1, size=m)
+        cut = int(rng.integers(0, m))
+        if shape == "leading":
+            state[:cut] = MARGINALISED
+        elif shape == "trailing":
+            state[m - cut:] = MARGINALISED
+        elif shape == "long_gap":
+            start = int(rng.integers(0, m))
+            state[start:start + max(cut, m // 2)] = MARGINALISED
+        elif shape == "single":
+            state[:] = MARGINALISED
+        state[rng.integers(m)] = FREE
+        missing = state == MARGINALISED
+        flags = state == CONDITIONED
+        x = spec.mean + 3.0 * rng.normal(size=(3, m))
+        x[:, missing] = np.nan
+
+        got = dgarma(x, spec, cond=flags, log=True)
+        want = dense_pattern_log_density(spec, x, missing, flags)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_near_unit_ar1_matches_markov_likelihood(self):
+        phi = 0.99999
+        rng = np.random.default_rng(7)
+        x = _ar1_series(phi, 3000, rng)
+        x[[0, 1, 700, 701, 702, 2999]] = np.nan
+        x[1000:1400] = np.nan
+        flags = np.zeros(x.size, dtype=bool)
+        flags[[5, 999, 1400, 2500]] = True
+        spec = ArmaSpec(ar=(phi,), mean=0.0)
+        got = dgarma(x, spec, cond=flags, log=True)[0]
+        observed = ~np.isnan(x)
+        want = ar1_markov_log_density(phi, 1.0, 0.0, x, observed) - ar1_markov_log_density(
+            phi, 1.0, 0.0, x, flags
+        )
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_length_100000_in_bounded_memory(self):
+        phi, mean, error_var = 0.9, 1.5, 2.0
+        m = 100_000
+        rng = np.random.default_rng(11)
+        x = mean + math.sqrt(error_var) * _ar1_series(phi, m, rng)
+        x[[3, 4, 50_000, 77_777, m - 1]] = np.nan
+        flags = np.zeros(m, dtype=bool)
+        flags[[0, 10, 60_000]] = True
+        spec = ArmaSpec(ar=(phi,), mean=mean, error_var=error_var)
+        tracemalloc.start()
+        try:
+            got = dgarma(x, spec, cond=flags, log=True)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = ar1_markov_log_density(phi, error_var, mean, x, ~np.isnan(x))
+        want -= ar1_markov_log_density(phi, error_var, mean, x, flags)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert peak < 64 * 2**20
+
+    def test_non_positive_prediction_variance_raises(self):
+        spec = ArmaSpec(ar=(0.5,), ma=(0.3,))
+        transition, q_cov, p0 = distribution._state_space(spec, np.array([2.0]))
+        model = (transition, q_cov, -p0)
+        with pytest.raises(NotPositiveDefiniteError):
+            distribution._filter_log_density(np.zeros((1, 4)), np.ones(4, dtype=bool), model)
+
+    def test_import_does_not_load_scipy_signal(self):
+        code = "import sys, garma; print('scipy.signal' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+class TestRootsFoundOnce:
+    """Each public entry point solves for the AR roots once."""
+
+    SHARED = ArmaSpec(ar=(0.5,), ma=(-0.5,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: autocovariance(s, 5),
+            lambda s: variance_matrix(4, s),
+            lambda s: dgarma([0.1, 0.2, np.nan], s, cond=[True, False, False]),
+            lambda s: pgarma([0.1, 0.2], s),
+            lambda s: rgarma(2, 3, s, condvals=[0.5, np.nan, np.nan], seed=1),
+        ],
+    )
+    def test_ar_roots_solved_once(self, monkeypatch, call):
+        from garma import arma
+
+        spec = ArmaSpec(ar=(0.8, -0.2), ma=(1.4, 0.3))
+        solved = []
+        original = arma._poly_roots
+
+        def counting(coeffs):
+            solved.append(tuple(np.asarray(coeffs, dtype=float)))
+            return original(coeffs)
+
+        monkeypatch.setattr(arma, "_poly_roots", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(spec)
+        assert solved.count((-0.8, 0.2)) == 1
+        with pytest.warns(SharedRootWarning):
+            call(self.SHARED)

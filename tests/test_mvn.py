@@ -1,6 +1,7 @@
 """Tests for the multivariate-normal engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from garma import (
     CondOnMissingError,
     DimensionMismatchError,
     InvalidParamError,
+    GarmaWarning,
     NotPositiveDefiniteError,
+    NumericalAdjustmentWarning,
     ToleranceNotReachedError,
     build_pattern,
     mvn,
@@ -45,6 +48,17 @@ class TestCholesky:
         cov = np.ones((2, 2))
         factor = mvn.cholesky(cov)
         assert np.allclose(factor @ factor.T, cov, atol=1e-7)
+
+    def test_inflation_warns_with_eps(self):
+        with pytest.warns(NumericalAdjustmentWarning) as record:
+            mvn.cholesky(np.ones((2, 2)))
+        assert [w.message.eps for w in record] == [1e-14]
+        assert issubclass(NumericalAdjustmentWarning, GarmaWarning)
+
+    def test_no_warning_without_inflation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mvn.cholesky(np.eye(3))
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
