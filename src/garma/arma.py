@@ -24,16 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .conditioning import CondPattern
+from .conditioning import _require_free
 from .errors import (
-    AllConditionedError,
-    DimensionMismatchError,
     InvalidParamError,
     NearUnitRootWarning,
     NonStationaryError,
     SharedRootWarning,
 )
-from .mvn import _free_moments
+from .mvn import _cov_to_corr, _free_moments
 
 __all__ = [
     "ArmaSpec",
@@ -482,13 +480,6 @@ def acf_vector(n: int, spec: ArmaSpec, corr: bool = False) -> AcvSequence:
     return AcvSequence(values=acv.values / acv.values[0], is_correlation=True)
 
 
-def _cov_to_corr(entries):
-    d = np.sqrt(np.diag(entries))
-    out = entries / np.outer(d, d)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
 def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> VarianceMatrix:
     """Variance (or correlation) matrix of ``n`` consecutive observations.
 
@@ -503,6 +494,8 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
     ------
     AllConditionedError
         If no free position remains.
+    AllMarginalisedError
+        If every position of ``cond`` is marginalised.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParamError(f"n must be a positive integer, got {n!r}")
@@ -514,17 +507,7 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
         entries = _cov_to_corr(full) if corr else full
         return VarianceMatrix(entries=entries, index_labels=range(1, n + 1))
 
-    if not isinstance(cond, CondPattern):
-        raise InvalidParamError("cond must be a CondPattern (see build_pattern)")
-    if len(cond.state) != n:
-        raise DimensionMismatchError(
-            f"cond pattern has length {len(cond.state)} but n is {n}"
-        )
-    if not cond.free_mask.any():
-        raise AllConditionedError(
-            "every retained position is a conditioning position; "
-            "no free position remains"
-        )
+    _require_free(cond, n)
     free_idx, _, entries = _free_moments(np.zeros(n), full, cond.state, np.zeros((1, n)))
     if corr:
         entries = _cov_to_corr(entries)

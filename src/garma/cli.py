@@ -315,10 +315,8 @@ def _cmd_cdf(args):
         raise UsageError("--tol must be > 0")
     rows = _read_csv(args.input, "--input")
     rows, flags = _apply_cond(args, rows)
-    missing = np.isnan(rows[0])
-    flag_arr = flags if flags is not None else np.zeros(rows.shape[1], dtype=bool)
-    free_count = int((~missing & ~flag_arr).sum())
-    if free_count >= 3:
+    pattern = build_pattern(missing=np.isnan(rows[0]), cond_flags=flags)
+    if np.count_nonzero(pattern.free_mask) >= 3:
         seed = _effective_seed(args, "for cdf with 3 or more free positions")
     else:
         seed = args.seed if args.seed is not None else DEFAULT_CDF_SEED

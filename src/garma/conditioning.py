@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AllConditionedError,
     AllMarginalisedError,
     CondOnMissingError,
     DimensionMismatchError,
@@ -91,12 +92,16 @@ def build_pattern(missing=None, cond_flags=None, condvals=None, values=None) -> 
 
     Either pass ``condvals`` (finite entry = conditioned at that value, NaN =
     free; the value-list style), or pass a ``missing`` mask and optional
-    boolean ``cond_flags`` (the flag style; missing positions are
-    marginalised).  With the flag style, ``values`` optionally binds the
-    conditioning values from a data row.
+    ``cond_flags`` (the flag style; missing positions are marginalised).
+    Flags are booleans or the integers 0 and 1; any other entry is rejected.
+    With the flag style, ``values`` optionally binds the conditioning values
+    from a data row.
 
     Raises
     ------
+    InvalidParamError
+        If a flag is neither boolean nor 0/1, or the arguments mix or omit
+        both syntaxes.
     CondOnMissingError
         If a position is flagged as conditioning but is missing, or a
         conditioning value is non-finite.
@@ -105,62 +110,70 @@ def build_pattern(missing=None, cond_flags=None, condvals=None, values=None) -> 
     DimensionMismatchError
         If the arguments disagree in length.
     """
+    miss = None if missing is None else np.atleast_1d(np.asarray(missing, dtype=bool))
     if condvals is not None:
         if cond_flags is not None:
             raise InvalidParamError("pass either condvals or cond_flags, not both")
-        vals = np.atleast_1d(np.asarray(condvals, dtype=float))
-        if vals.ndim != 1:
+        values = np.atleast_1d(np.asarray(condvals, dtype=float))
+        if values.ndim != 1:
             raise InvalidParamError("condvals must be one-dimensional")
-        if np.any(np.isinf(vals)):
+        if np.any(np.isinf(values)):
             raise InvalidParamError("condvals entries must be finite or NaN")
-        if missing is not None:
-            miss = np.atleast_1d(np.asarray(missing, dtype=bool))
-            if miss.shape != vals.shape:
-                raise DimensionMismatchError(
-                    f"missing mask has length {miss.size}, condvals has length {vals.size}"
-                )
-            if np.any(miss & np.isfinite(vals)):
-                raise CondOnMissingError(
-                    "a missing position cannot carry a conditioning value"
-                )
-        state = np.where(np.isfinite(vals), CONDITIONED, FREE).astype(np.int8)
-        if missing is not None:
-            state[miss] = MARGINALISED
-            if np.all(state == MARGINALISED):
-                raise AllMarginalisedError("every position is marginalised")
-        return CondPattern(state=state, values=vals)
-
-    if missing is None and cond_flags is None:
+        flags = np.isfinite(values)
+    elif cond_flags is not None:
+        flags = np.atleast_1d(np.asarray(cond_flags))
+        if flags.dtype != bool:
+            if not np.all(np.isin(flags, (0, 1))):
+                raise InvalidParamError("cond flags must be booleans or the integers 0 and 1")
+            flags = flags.astype(bool)
+    elif miss is None:
         raise InvalidParamError("build_pattern needs missing, cond_flags, or condvals")
-    if missing is not None:
-        miss = np.atleast_1d(np.asarray(missing, dtype=bool))
     else:
-        miss = np.zeros(np.atleast_1d(np.asarray(cond_flags)).shape, dtype=bool)
-    if cond_flags is None:
         flags = np.zeros(miss.shape, dtype=bool)
-    else:
-        flags = np.atleast_1d(np.asarray(cond_flags, dtype=bool))
+    if miss is None:
+        miss = np.zeros(flags.shape, dtype=bool)
     if flags.shape != miss.shape:
         raise DimensionMismatchError(
-            f"cond flags have length {flags.size}, missing mask has length {miss.size}"
+            f"the conditioning entries have length {flags.size}, "
+            f"the missing mask has length {miss.size}"
         )
     if np.any(flags & miss):
         raise CondOnMissingError(
-            "conditioning flag set on a missing position "
+            "conditioning flag or value set on a missing position "
             f"(positions {np.nonzero(flags & miss)[0] + 1})"
         )
-    state = np.full(miss.shape, FREE, dtype=np.int8)
-    state[flags] = CONDITIONED
-    state[miss] = MARGINALISED
-    if np.all(state == MARGINALISED):
+    if miss.all():
         raise AllMarginalisedError("every position is marginalised")
-    if values is not None:
-        row = np.atleast_1d(np.asarray(values, dtype=float))
-        if row.shape != state.shape:
-            raise DimensionMismatchError(
-                f"values have length {row.size}, pattern has length {state.size}"
-            )
-        if np.any(~np.isfinite(row[flags])):
-            raise CondOnMissingError("a flagged position carries no finite value")
-        return CondPattern(state=state, values=row)
-    return CondPattern(state=state)
+    state = np.where(flags, CONDITIONED, FREE).astype(np.int8)
+    state[miss] = MARGINALISED
+    if values is None:
+        return CondPattern(state=state)
+    row = np.atleast_1d(np.asarray(values, dtype=float))
+    if row.shape != state.shape:
+        raise DimensionMismatchError(
+            f"values have length {row.size}, pattern has length {state.size}"
+        )
+    if np.any(~np.isfinite(row[flags])):
+        raise CondOnMissingError("a flagged position carries no finite value")
+    return CondPattern(state=state, values=row)
+
+
+def _require_free(pattern, n):
+    """Check a caller-supplied pattern for an ``n``-dimensional query: it must
+    be a :class:`CondPattern` of length ``n`` with a free position left.
+
+    Raises :class:`AllMarginalisedError` when every position is marginalised
+    and :class:`AllConditionedError` when the rest are all conditioned.
+    """
+    if not isinstance(pattern, CondPattern):
+        raise InvalidParamError("cond must be a CondPattern (see build_pattern)")
+    if len(pattern) != n:
+        raise DimensionMismatchError(
+            f"the conditioning pattern has length {len(pattern)}, expected {n}"
+        )
+    if not pattern.free_mask.any():
+        if not pattern.cond_mask.any():
+            raise AllMarginalisedError("every position is marginalised")
+        raise AllConditionedError(
+            "every retained position is a conditioning position; no free position remains"
+        )

@@ -65,31 +65,6 @@ def as_series_matrix(x) -> np.ndarray:
     return arr
 
 
-def _shared_masks(rows, cond):
-    """Validate the shared missing mask and conditioning flags for a matrix
-    of series rows; returns (missing, flags)."""
-    miss = np.isnan(rows)
-    if rows.shape[0] > 1 and not np.all(miss == miss[0]):
-        raise DimensionMismatchError(
-            "all rows must share one missing pattern; found rows that disagree"
-        )
-    missing = miss[0]
-    m = rows.shape[1]
-    if cond is None or cond is False:
-        flags = np.zeros(m, dtype=bool)
-    else:
-        flags = np.atleast_1d(np.asarray(cond))
-        if flags.dtype != bool:
-            if not np.all(np.isin(flags, (0, 1))):
-                raise InvalidParamError("cond flags must be boolean")
-            flags = flags.astype(bool)
-        if flags.shape != (m,):
-            raise DimensionMismatchError(
-                f"cond has length {flags.size}, series has length {m}"
-            )
-    return missing, flags
-
-
 def _degenerate_unit(kind, count, log):
     warnings.warn(
         f"every non-missing position is a conditioning value; {kind} set to "
@@ -102,13 +77,13 @@ def _degenerate_unit(kind, count, log):
 
 
 def _row_pattern(rows, cond):
-    """The pattern shared by the rows of a dgarma/pgarma query, or None when
-    the query is degenerate (no free position)."""
-    missing, flags = _shared_masks(rows, cond)
-    if not (~missing & ~flags).any():
-        return None
-    # Validates flag/missing consistency (CondOnMissingError on overlap).
-    return build_pattern(missing=missing, cond_flags=flags)
+    """The validated pattern shared by the rows of a dgarma/pgarma query."""
+    miss = np.isnan(rows)
+    if rows.shape[0] > 1 and not np.all(miss == miss[0]):
+        raise DimensionMismatchError(
+            "all rows must share one missing pattern; found rows that disagree"
+        )
+    return build_pattern(missing=miss[0], cond_flags=None if cond is False else cond)
 
 
 def _state_space(spec, moduli):
@@ -248,13 +223,16 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     is formed.  A non-positive prediction variance raises
     :class:`NotPositiveDefiniteError`.
 
-    When no free position remains, the density is 1 (log-density 0) by
-    convention and an :class:`AllConditionedWarning` is emitted.
+    The pattern is validated by :func:`garma.build_pattern`: an all-missing
+    row raises :class:`AllMarginalisedError` and a flag on a missing position
+    :class:`CondOnMissingError`.  Only when every kept position is
+    conditioned is the density 1 (log-density 0), by convention, with an
+    :class:`AllConditionedWarning`.
     """
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)
-    if pattern is None:
+    if not pattern.free_mask.any():
         return _degenerate_unit("density", rows.shape[0], log)
     _warn_shared_roots(spec, moduli)
     model = _state_space(spec, moduli)
@@ -272,12 +250,14 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
 
     ``tol`` and ``seed`` configure the quasi-Monte Carlo CDF used when three
     or more free positions remain; the default seed is a fixed documented
-    constant, so repeated calls agree.
+    constant, so repeated calls agree.  An all-missing row raises
+    :class:`AllMarginalisedError`; the probability is 1 by convention only
+    when every kept position is conditioned.
     """
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)
-    if pattern is None:
+    if not pattern.free_mask.any():
         return _degenerate_unit("probability", rows.shape[0], log)
     _warn_shared_roots(spec, moduli)
     m = rows.shape[1]

@@ -20,10 +20,8 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
-from .conditioning import CONDITIONED, FREE, CondPattern
+from .conditioning import CONDITIONED, FREE, _require_free
 from .errors import (
-    AllConditionedError,
-    AllMarginalisedError,
     CondOnMissingError,
     DimensionMismatchError,
     InvalidParamError,
@@ -192,6 +190,14 @@ def log_density(x, params: GaussianParams):
     return float(out[0]) if single else out
 
 
+def _cov_to_corr(cov):
+    """The correlation matrix of ``cov``, with an exact unit diagonal."""
+    sd = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(sd, sd)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 def _free_moments(mean, cov, state, value_rows):
     """Moments of the FREE coordinates of N(mean, cov) given the CONDITIONED
     ones, for each row of ``value_rows`` (one column per coordinate; only the
@@ -229,18 +235,9 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
     used.
     """
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
-    if not isinstance(pattern, CondPattern):
-        raise InvalidParamError("pattern must be a CondPattern (see build_pattern)")
-    if len(pattern) != p.dim:
-        raise DimensionMismatchError(
-            f"pattern has length {len(pattern)}, distribution has dimension {p.dim}"
-        )
+    _require_free(pattern, p.dim)
     cond_mask = pattern.cond_mask
     n_cond = int(np.count_nonzero(cond_mask))
-    if not pattern.free_mask.any():
-        if n_cond == 0:
-            raise AllMarginalisedError("every coordinate is marginalised")
-        raise AllConditionedError("no free coordinate remains")
 
     vals = pattern.values
     if values is None:
@@ -470,9 +467,7 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
         rho = float(np.clip(cov[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
         value = _bvn_upper(-z[0], -z[1], rho)
         return CdfResult(value=value, error_estimate=1e-14, method="quadrature_2d")
-    corr = cov / np.outer(sd, sd)
-    np.fill_diagonal(corr, 1.0)
-    return _qmc_cdf(corr, z, tol, seed, max_points)
+    return _qmc_cdf(_cov_to_corr(cov), z, tol, seed, max_points)
 
 
 def _sample(mean, factor, count, seed):

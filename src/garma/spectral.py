@@ -293,21 +293,15 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     sizes = _chunk_sizes(sims, n)
     pieces = []
     done = 0
-    if workers == 1:
-        for index, size in enumerate(sizes):
-            pieces.append(_null_maxima_chunk(values, index, size, seed, use_rfft))
+    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        chunks = (map if workers == 1 else pool.map)(
+            lambda index, size: _null_maxima_chunk(values, index, size, seed, use_rfft),
+            range(len(sizes)), sizes,
+        )
+        for piece, size in zip(chunks, sizes):
+            pieces.append(piece)
             done += size
             _emit_progress(progress, done, sims)
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            futures = [
-                pool.submit(_null_maxima_chunk, values, index, size, seed, use_rfft)
-                for index, size in enumerate(sizes)
-            ]
-            for future, size in zip(futures, sizes):
-                pieces.append(future.result())
-                done += size
-                _emit_progress(progress, done, sims)
     null_sample = np.concatenate(pieces)
     ties_from = statistic * (1.0 - _TIE_REL)
     p_value = (1.0 + float(np.count_nonzero(null_sample >= ties_from))) / (sims + 1.0)

@@ -12,7 +12,9 @@ from scipy.signal import lfilter
 
 from garma import (
     AllConditionedError,
+    AllMarginalisedError,
     ArmaSpec,
+    CondPattern,
     DimensionMismatchError,
     GarmaError,
     InvalidParamError,
@@ -413,6 +415,10 @@ class TestVarianceMatrix:
         pat = build_pattern(condvals=[1.0, np.nan])
         with pytest.raises(DimensionMismatchError):
             variance_matrix(3, GARMA22, cond=pat)
+
+    def test_all_marginalised_errors(self):
+        with pytest.raises(AllMarginalisedError):
+            variance_matrix(2, GARMA22, cond=CondPattern(state=[2, 2]))
 
     def test_cholesky_up_to_512(self):
         for spec in (GARMA22, ArmaSpec(ar=(0.95,)), ArmaSpec(ma=(0.9, 0.5, 0.2))):

@@ -243,12 +243,35 @@ class TestDensity:
         assert code == 1
         assert "--cond" in err
 
+    def test_all_missing_row_is_model_error(self, capsys, tmp_path):
+        path = self.write_series(tmp_path, [["NA", "NA", "NA"]])
+        code, out, err = run_cli(capsys, "density", "--input", str(path), "--ar", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "marginalised" in err
+
+    def test_cond_on_missing_is_model_error(self, capsys, tmp_path):
+        path = self.write_series(tmp_path, [["NA", 1.0]])
+        code, out, err = run_cli(
+            capsys, "density", "--input", str(path), "--ar", "0.5", "--cond", "1,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "missing" in err
+
 
 class TestCdf:
     def write_series(self, tmp_path, text):
         path = tmp_path / "q.csv"
         path.write_text(text)
         return path
+
+    def test_all_missing_row_is_model_error(self, capsys, tmp_path):
+        path = self.write_series(tmp_path, "NA,NA,NA\n")
+        code, out, err = run_cli(capsys, "cdf", "--input", str(path), "--ar", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "marginalised" in err
 
     def test_two_free_no_seed_needed(self, capsys, tmp_path):
         path = self.write_series(tmp_path, "0.0,0.0\n")

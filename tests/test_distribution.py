@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
@@ -20,6 +20,7 @@ from garma import (
     CONDITIONED,
     DimensionMismatchError,
     FREE,
+    GarmaError,
     InvalidParamError,
     MARGINALISED,
     NonStationaryError,
@@ -113,6 +114,73 @@ class TestBuildPattern:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             build_pattern(missing=[False, False], cond_flags=[True])
+
+
+@st.composite
+def flagged_rows(draw):
+    """A row of length 1-12 with random NaN positions and conditioning flags
+    that are booleans, integers 0/1/2, or absent."""
+    m = draw(st.integers(1, 12))
+    missing = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    flags = draw(st.one_of(
+        st.none(),
+        st.lists(st.booleans(), min_size=m, max_size=m),
+        st.lists(st.sampled_from([0, 1, 2]), min_size=m, max_size=m),
+    ))
+    return np.where(missing, np.nan, np.linspace(-1.0, 1.0, m)), flags
+
+
+class TestOnePatternRule:
+    """dgarma and pgarma accept exactly the patterns build_pattern accepts."""
+
+    def test_all_missing_row_rejected(self):
+        for function in (dgarma, pgarma):
+            with pytest.raises(AllMarginalisedError):
+                function(np.full(4, np.nan), AR1)
+
+    def test_flag_on_missing_rejected_when_nothing_free(self):
+        for function in (dgarma, pgarma):
+            with pytest.raises(CondOnMissingError):
+                function([np.nan, 1.0], AR1, cond=[True, True])
+
+    def test_build_pattern_rejects_nonboolean_flags(self):
+        with pytest.raises(InvalidParamError):
+            build_pattern(missing=[False, False], cond_flags=[2, 0])
+        pattern = build_pattern(missing=[False, False], cond_flags=[1, 0])
+        assert np.array_equal(pattern.state, [CONDITIONED, FREE])
+
+    def test_empty_condvals_rejected(self):
+        with pytest.raises(AllMarginalisedError):
+            build_pattern(condvals=[])
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=flagged_rows())
+    @example(case=(np.full(4, np.nan), None))
+    @example(case=(np.array([np.nan, 1.0]), [True, True]))
+    @example(case=(np.array([1.0, 2.0]), [2, 0]))
+    @example(case=(np.array([1.0, 2.0]), [1, 1]))
+    def test_distribution_functions_follow_build_pattern(self, case):
+        row, flags = case
+        try:
+            pattern = build_pattern(missing=np.isnan(row), cond_flags=flags)
+        except GarmaError as exc:
+            for function in (dgarma, pgarma):
+                with pytest.raises(GarmaError) as info:
+                    function(row, AR1, cond=flags)
+                assert type(info.value) is type(exc)
+            return
+        free = np.count_nonzero(pattern.free_mask)
+        if free == 0:
+            for function in (dgarma, pgarma):
+                with pytest.warns(AllConditionedWarning):
+                    assert np.array_equal(function(row, AR1, cond=flags), [1.0])
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = dgarma(row, AR1, cond=flags)
+            assert np.array_equal(value, dgarma(row, AR1, cond=pattern.cond_mask))
+            if free <= 2:
+                assert 0.0 <= pgarma(row, AR1, cond=flags)[0] <= 1.0
 
 
 class TestDgarma:

@@ -5,11 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from garma import (
     AllConditionedError,
+    ArmaSpec,
     CondOnMissingError,
+    CondPattern,
     DimensionMismatchError,
+    GarmaError,
     InvalidParamError,
     GarmaWarning,
     NotPositiveDefiniteError,
@@ -17,6 +22,7 @@ from garma import (
     ToleranceNotReachedError,
     build_pattern,
     mvn,
+    variance_matrix,
 )
 from conftest import brute_conditional
 
@@ -208,6 +214,30 @@ class TestConditionalMoments:
             )
             log_full = mvn.log_density(x, params)
             assert log_full == pytest.approx(log_cond + log_marg, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=st.lists(st.integers(0, 2), min_size=1, max_size=8), extra=st.integers(0, 1))
+    @example(state=[2, 2], extra=0)
+    def test_same_pattern_rule_as_variance_matrix(self, state, extra):
+        """On any bound pattern, variance_matrix and conditional_moments both
+        succeed with the same covariance or raise the same error type."""
+        pattern = CondPattern(state=state, values=np.linspace(-1.0, 1.0, len(state)))
+        n = len(state) + extra
+        spec = ArmaSpec(ar=(0.5,))
+        params = mvn.GaussianParams(mean=np.zeros(n), cov=variance_matrix(n, spec).entries)
+        outcomes = []
+        for call in (
+            lambda: variance_matrix(n, spec, cond=pattern).entries,
+            lambda: mvn.conditional_moments(params, pattern).cond_cov,
+        ):
+            try:
+                outcomes.append(call())
+            except GarmaError as exc:
+                outcomes.append(type(exc))
+        if isinstance(outcomes[0], type):
+            assert outcomes[0] is outcomes[1]
+        else:
+            assert np.array_equal(outcomes[0], outcomes[1])
 
 
 class TestMvnCdf:
