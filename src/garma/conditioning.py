@@ -87,21 +87,32 @@ class CondPattern:
         return bool(np.all(np.isfinite(self.values[self.cond_mask])))
 
 
+def _flags(entries, what):
+    """A boolean mask from booleans or the integers 0 and 1; any other entry
+    raises :class:`InvalidParamError`."""
+    flags = np.atleast_1d(np.asarray(entries))
+    if flags.dtype != bool:
+        if not np.all(np.isin(flags, (0, 1))):
+            raise InvalidParamError(f"{what} flags must be booleans or the integers 0 and 1")
+        flags = flags.astype(bool)
+    return flags
+
+
 def build_pattern(missing=None, cond_flags=None, condvals=None, values=None) -> CondPattern:
     """Normalise the two conditioning syntaxes into one :class:`CondPattern`.
 
     Either pass ``condvals`` (finite entry = conditioned at that value, NaN =
     free; the value-list style), or pass a ``missing`` mask and optional
     ``cond_flags`` (the flag style; missing positions are marginalised).
-    Flags are booleans or the integers 0 and 1; any other entry is rejected.
-    With the flag style, ``values`` optionally binds the conditioning values
-    from a data row.
+    Flags and missing entries are booleans or the integers 0 and 1; any
+    other entry is rejected.  With the flag style, ``values`` optionally
+    binds the conditioning values from a data row.
 
     Raises
     ------
     InvalidParamError
-        If a flag is neither boolean nor 0/1, or the arguments mix or omit
-        both syntaxes.
+        If a flag or missing entry is neither boolean nor 0/1, or the
+        arguments mix or omit both syntaxes.
     CondOnMissingError
         If a position is flagged as conditioning but is missing, or a
         conditioning value is non-finite.
@@ -110,7 +121,7 @@ def build_pattern(missing=None, cond_flags=None, condvals=None, values=None) -> 
     DimensionMismatchError
         If the arguments disagree in length.
     """
-    miss = None if missing is None else np.atleast_1d(np.asarray(missing, dtype=bool))
+    miss = None if missing is None else _flags(missing, "missing")
     if condvals is not None:
         if cond_flags is not None:
             raise InvalidParamError("pass either condvals or cond_flags, not both")
@@ -121,11 +132,7 @@ def build_pattern(missing=None, cond_flags=None, condvals=None, values=None) -> 
             raise InvalidParamError("condvals entries must be finite or NaN")
         flags = np.isfinite(values)
     elif cond_flags is not None:
-        flags = np.atleast_1d(np.asarray(cond_flags))
-        if flags.dtype != bool:
-            if not np.all(np.isin(flags, (0, 1))):
-                raise InvalidParamError("cond flags must be booleans or the integers 0 and 1")
-            flags = flags.astype(bool)
+        flags = _flags(cond_flags, "cond")
     elif miss is None:
         raise InvalidParamError("build_pattern needs missing, cond_flags, or condvals")
     else:

@@ -36,6 +36,7 @@ from .mvn import (
     _LOG_2PI,
     DEFAULT_CDF_SEED,
     GaussianParams,
+    _Scrambles,
     _factor,
     _free_moments,
     _sample,
@@ -250,7 +251,12 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
 
     ``tol`` and ``seed`` configure the quasi-Monte Carlo CDF used when three
     or more free positions remain; the default seed is a fixed documented
-    constant, so repeated calls agree.  An all-missing row raises
+    constant, so repeated calls agree.  A call is randomised once: every row
+    is estimated with the same scrambled Sobol point sets, drawn from
+    ``SeedSequence(seed, spawn_key=(0,))``, so the first row's value equals
+    ``mvn_cdf(..., seed=SeedSequence(seed, spawn_key=(0,)))`` and identical
+    rows get identical values.  Each row's estimate is still unbiased with
+    its own error estimate within ``tol``.  An all-missing row raises
     :class:`AllMarginalisedError`; the probability is 1 by convention only
     when every kept position is conditioned.
     """
@@ -265,14 +271,16 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
         np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
     )
     free_values = rows[:, free_idx]
+    scrambles = _Scrambles(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,)) if seed is not None else None
+    )
     out = np.empty(rows.shape[0])
     for i in range(rows.shape[0]):
-        row_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,)) if seed is not None else None
         result = mvn_cdf(
             free_values[i],
             GaussianParams(mean=np.asarray(cond_means)[i], cov=cond_cov),
             tol=tol,
-            seed=row_seed,
+            seed=scrambles,
         )
         out[i] = result.value
     return np.log(out) if log else out

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .conditioning import CONDITIONED, FREE, _require_free
 from .errors import (
@@ -246,7 +245,7 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
                 "pattern has conditioned positions without bound values; "
                 "pass them via the values argument"
             )
-    elif n_cond:
+    else:
         given = np.atleast_1d(np.asarray(values, dtype=float))
         if given.shape[0] == p.dim:
             vals = given
@@ -255,7 +254,8 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
             vals[cond_mask] = given
         else:
             raise DimensionMismatchError(
-                f"{n_cond} conditioning values needed, got {given.shape[0]}"
+                f"values needs {n_cond} conditioning values or one per position "
+                f"({p.dim}), got {given.shape[0]}"
             )
         if not np.all(np.isfinite(vals[cond_mask])):
             raise CondOnMissingError("conditioning values must all be finite")
@@ -400,17 +400,47 @@ def _sov_mean(ell, u, pts):
     return float(pv.mean())
 
 
-def _qmc_cdf(corr, upper, tol, seed, max_points):
+class _Scrambles:
+    """The randomisation of the quasi-Monte Carlo CDF: ``_QMC_BATCHES``
+    scrambled Sobol engines per refinement round, drawn from one generator
+    seeded with ``seed``, a round's engines the first time it is reached.
+
+    Every probability evaluated with one instance sees the same scrambles,
+    each engine rewound before use; each scramble alone gives an unbiased
+    estimate, so every evaluation keeps its own error estimate (Owen 1997).
+    Engines are kept, never their points.
+    """
+
+    def __init__(self, seed):
+        self._seed = seed
+        self._rng = None
+        self._rounds = []
+
+    def engines(self, round_, dim):
+        # Imported here: scipy.stats takes longer to import than everything
+        # else garma loads together, and only this path needs it.
+        from scipy.stats import qmc
+
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        while len(self._rounds) <= round_:
+            self._rounds.append(
+                [qmc.Sobol(d=dim, scramble=True, seed=self._rng) for _ in range(_QMC_BATCHES)]
+            )
+        return [engine.reset() for engine in self._rounds[round_]]
+
+
+def _qmc_cdf(corr, upper, tol, scrambles, max_points):
     ell, u = _ordered_cholesky(corr, upper)
     dim = len(u) - 1
-    rng = np.random.default_rng(seed)
     exponent = 10
     total = 0
+    round_ = 0
     while True:
-        estimates = np.empty(_QMC_BATCHES)
-        for b in range(_QMC_BATCHES):
-            engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
-            estimates[b] = _sov_mean(ell, u, engine.random_base2(exponent))
+        estimates = np.array(
+            [_sov_mean(ell, u, engine.random_base2(exponent))
+             for engine in scrambles.engines(round_, dim)]
+        )
         total += _QMC_BATCHES << exponent
         value = float(estimates.mean())
         err = float(estimates.std(ddof=1) / math.sqrt(_QMC_BATCHES))
@@ -419,6 +449,7 @@ def _qmc_cdf(corr, upper, tol, seed, max_points):
         if total + (_QMC_BATCHES << (exponent + 2)) > max_points:
             raise ToleranceNotReachedError(value, err)
         exponent += 2
+        round_ += 1
 
 
 def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_SEED,
@@ -467,7 +498,9 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
         rho = float(np.clip(cov[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
         value = _bvn_upper(-z[0], -z[1], rho)
         return CdfResult(value=value, error_estimate=1e-14, method="quadrature_2d")
-    return _qmc_cdf(_cov_to_corr(cov), z, tol, seed, max_points)
+    # pgarma passes one _Scrambles as the seed of all its rows.
+    scrambles = seed if isinstance(seed, _Scrambles) else _Scrambles(seed)
+    return _qmc_cdf(_cov_to_corr(cov), z, tol, scrambles, max_points)
 
 
 def _sample(mean, factor, count, seed):

@@ -115,6 +115,14 @@ class TestBuildPattern:
         with pytest.raises(DimensionMismatchError):
             build_pattern(missing=[False, False], cond_flags=[True])
 
+    @pytest.mark.parametrize("missing", [[2, 0.5, 0], [np.nan, 0, 0]])
+    def test_missing_entries_follow_the_flag_rule(self, missing):
+        with pytest.raises(InvalidParamError):
+            build_pattern(missing=missing)
+
+    def test_missing_as_integers(self):
+        assert np.array_equal(build_pattern(missing=[1, 0, 0]).state, [MARGINALISED, FREE, FREE])
+
 
 @st.composite
 def flagged_rows(draw):
@@ -317,6 +325,38 @@ class TestPgarma:
         row_seed = np.random.SeedSequence(entropy=41, spawn_key=(0,))
         direct = mvn.mvn_cdf(x, toeplitz_params(AR1, 3), seed=row_seed)
         assert value == direct.value
+
+    def test_rows_share_one_set_of_scrambles(self, monkeypatch):
+        from scipy.stats import qmc
+
+        original = qmc.Sobol
+        built = []
+
+        def counting_sobol(*args, **kwargs):
+            built.append(kwargs["d"])
+            return original(*args, **kwargs)
+
+        results = []
+
+        def recording_cdf(*args, **kwargs):
+            results.append(mvn.mvn_cdf(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(qmc, "Sobol", counting_sobol)
+        monkeypatch.setattr(distribution, "mvn_cdf", recording_cdf)
+        rows = np.random.default_rng(3).normal(size=(5, 4))
+        tol = 1e-4
+        values = pgarma(rows, AR1, tol=tol)
+        # Ten scrambles of one round serve all five rows.
+        assert built == [3] * 10
+        assert [r.method for r in results] == ["qmc"] * 5
+        assert all(r.error_estimate <= tol for r in results)
+        assert np.array_equal(values, [r.value for r in results])
+
+    def test_identical_rows_get_identical_values(self):
+        x = np.array([0.2, -0.1, 0.4, 0.3])
+        values = pgarma(np.vstack([x + 0.5, x, x]), AR1, seed=8)
+        assert values[1] == values[2]
 
     def test_conditioning_changes_probability(self):
         x = np.array([3.0, 0.0])
@@ -606,6 +646,19 @@ class TestKalmanEngine:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_import_and_non_cdf_command_do_not_load_scipy_stats(self):
+        code = (
+            "import sys, garma, garma.cli\n"
+            "after_import = 'scipy.stats' in sys.modules\n"
+            "garma.cli.main(['acf', '--n', '8', '--ar', '0.5'])\n"
+            "after_acf = 'scipy.stats' in sys.modules\n"
+            "p = garma.pgarma([0.2, -0.1, 0.4], garma.ArmaSpec(ar=(0.5,)))[0]\n"
+            "print(after_import, after_acf, 0.0 < p < 1.0)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False False True"
 
 
 class TestRootsFoundOnce:

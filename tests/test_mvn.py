@@ -182,6 +182,13 @@ class TestConditionalMoments:
         cm = mvn.conditional_moments(params, pattern, values=[2.0])
         assert cm.cond_mean == pytest.approx([1.0], abs=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_values_length_checked_without_conditioning(self, count):
+        params = mvn.GaussianParams(mean=np.zeros(3), cov=np.eye(3))
+        pattern = build_pattern(missing=[False, False, False])
+        with pytest.raises(DimensionMismatchError):
+            mvn.conditional_moments(params, pattern, values=np.zeros(count))
+
     def test_unbound_pattern_without_values_errors(self):
         params = mvn.GaussianParams(mean=[0.0, 0.0], cov=AR1_COV2)
         pattern = build_pattern(missing=[False, False], cond_flags=[True, False])
