@@ -205,11 +205,13 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
 
     Raises
     ------
+    InvalidParamError
+        If ``spec`` is not an :class:`ArmaSpec`.
     NonStationaryError
         If any root modulus is <= 1.  The offending minimum is attached.
     """
     if not isinstance(spec, ArmaSpec):
-        spec = ArmaSpec(**spec) if isinstance(spec, dict) else ArmaSpec(*spec)
+        raise InvalidParamError(f"spec must be an ArmaSpec, got {type(spec).__name__}")
     roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
     moduli = np.abs(roots)
     if moduli.size:

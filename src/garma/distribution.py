@@ -33,14 +33,13 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .mvn import (
+    _DEFAULT_MAX_POINTS,
     _LOG_2PI,
     DEFAULT_CDF_SEED,
-    GaussianParams,
-    _Scrambles,
     _factor,
     _free_moments,
+    _rectangle_cdf,
     _sample,
-    mvn_cdf,
 )
 
 __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
@@ -252,14 +251,17 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     ``tol`` and ``seed`` configure the quasi-Monte Carlo CDF used when three
     or more free positions remain; the default seed is a fixed documented
     constant, so repeated calls agree.  A call is randomised once: every row
-    is estimated with the same scrambled Sobol point sets, drawn from
-    ``SeedSequence(seed, spawn_key=(0,))``, so the first row's value equals
-    ``mvn_cdf(..., seed=SeedSequence(seed, spawn_key=(0,)))`` and identical
-    rows get identical values.  Each row's estimate is still unbiased with
-    its own error estimate within ``tol``.  An all-missing row raises
+    is estimated on the same scrambled Sobol point sets, drawn from
+    ``SeedSequence(seed, spawn_key=(0,))``, so every row's value equals
+    ``mvn_cdf(row, ..., seed=SeedSequence(seed, spawn_key=(0,)))`` and
+    identical rows get identical values.  Each row's estimate is still
+    unbiased with its own error estimate within ``tol``.  ``tol`` must be
+    positive even when no row needs it.  An all-missing row raises
     :class:`AllMarginalisedError`; the probability is 1 by convention only
     when every kept position is conditioned.
     """
+    if not tol > 0.0:
+        raise InvalidParamError(f"tol must be > 0, got {tol!r}")
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)
@@ -270,19 +272,14 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     free_idx, cond_means, cond_cov = _free_moments(
         np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
     )
-    free_values = rows[:, free_idx]
-    scrambles = _Scrambles(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,)) if seed is not None else None
+    results = _rectangle_cdf(
+        rows[:, free_idx] - cond_means,
+        cond_cov,
+        tol,
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,)) if seed is not None else None,
+        _DEFAULT_MAX_POINTS,
     )
-    out = np.empty(rows.shape[0])
-    for i in range(rows.shape[0]):
-        result = mvn_cdf(
-            free_values[i],
-            GaussianParams(mean=np.asarray(cond_means)[i], cov=cond_cov),
-            tol=tol,
-            seed=scrambles,
-        )
-        out[i] = result.value
+    out = np.array([r.value for r in results])
     return np.log(out) if log else out
 
 

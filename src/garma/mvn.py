@@ -400,56 +400,69 @@ def _sov_mean(ell, u, pts):
     return float(pv.mean())
 
 
-class _Scrambles:
-    """The randomisation of the quasi-Monte Carlo CDF: ``_QMC_BATCHES``
-    scrambled Sobol engines per refinement round, drawn from one generator
-    seeded with ``seed``, a round's engines the first time it is reached.
+def _qmc_cdf(corr, z, tol, seed, max_points):
+    """Quasi-Monte Carlo :func:`_rectangle_cdf` for three or more dimensions.
 
-    Every probability evaluated with one instance sees the same scrambles,
-    each engine rewound before use; each scramble alone gives an unbiased
-    estimate, so every evaluation keeps its own error estimate (Owen 1997).
-    Engines are kept, never their points.
+    Each refinement round draws ``_QMC_BATCHES`` scrambled Sobol point sets
+    from one generator seeded with ``seed`` and evaluates every row not yet
+    within ``tol`` on them.  Each scramble alone gives an unbiased estimate,
+    so every row keeps its own error estimate (Owen 1997).  The point cap is
+    reached by all rows in the same round; the first row still above ``tol``
+    then raises.
     """
+    # Imported here: scipy.stats takes longer to import than everything
+    # else garma loads together, and only this path needs it.
+    from scipy.stats import qmc
 
-    def __init__(self, seed):
-        self._seed = seed
-        self._rng = None
-        self._rounds = []
-
-    def engines(self, round_, dim):
-        # Imported here: scipy.stats takes longer to import than everything
-        # else garma loads together, and only this path needs it.
-        from scipy.stats import qmc
-
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        while len(self._rounds) <= round_:
-            self._rounds.append(
-                [qmc.Sobol(d=dim, scramble=True, seed=self._rng) for _ in range(_QMC_BATCHES)]
-            )
-        return [engine.reset() for engine in self._rounds[round_]]
-
-
-def _qmc_cdf(corr, upper, tol, scrambles, max_points):
-    ell, u = _ordered_cholesky(corr, upper)
-    dim = len(u) - 1
+    factors = [_ordered_cholesky(corr, row) for row in z]
+    rng = np.random.default_rng(seed)
+    results = {}
     exponent = 10
     total = 0
-    round_ = 0
-    while True:
-        estimates = np.array(
-            [_sov_mean(ell, u, engine.random_base2(exponent))
-             for engine in scrambles.engines(round_, dim)]
-        )
+    while len(results) < len(factors):
+        todo = [row for row in range(len(factors)) if row not in results]
+        engines = [qmc.Sobol(d=corr.shape[0] - 1, scramble=True, seed=rng)
+                   for _ in range(_QMC_BATCHES)]
+        estimates = np.empty((len(todo), _QMC_BATCHES))
+        for j, engine in enumerate(engines):
+            pts = engine.random_base2(exponent)
+            for i, row in enumerate(todo):
+                estimates[i, j] = _sov_mean(*factors[row], pts)
         total += _QMC_BATCHES << exponent
-        value = float(estimates.mean())
-        err = float(estimates.std(ddof=1) / math.sqrt(_QMC_BATCHES))
-        if err <= tol:
-            return CdfResult(value=min(max(value, 0.0), 1.0), error_estimate=err, method="qmc")
-        if total + (_QMC_BATCHES << (exponent + 2)) > max_points:
-            raise ToleranceNotReachedError(value, err)
+        for row, est in zip(todo, estimates):
+            value = float(est.mean())
+            err = float(est.std(ddof=1) / math.sqrt(_QMC_BATCHES))
+            if err <= tol:
+                results[row] = CdfResult(value=min(max(value, 0.0), 1.0),
+                                         error_estimate=err, method="qmc")
+            elif total + (_QMC_BATCHES << (exponent + 2)) > max_points:
+                raise ToleranceNotReachedError(value, err)
         exponent += 2
-        round_ += 1
+    return [results[row] for row in range(len(factors))]
+
+
+def _rectangle_cdf(dev, cov, tol, seed, max_points):
+    """P(X - mean <= dev) for X ~ N(mean, cov), one :class:`CdfResult` per
+    row of the finite matrix ``dev``.
+
+    One dimension is the normal CDF, two a Gauss-Legendre quadrature, three
+    or more quasi-Monte Carlo on point sets shared by all rows.
+    """
+    var = np.diag(cov)
+    if not np.all(var > 0.0):
+        raise NotPositiveDefiniteError("covariance has a non-positive diagonal entry")
+    sd = np.sqrt(var)
+    z = dev / sd
+    if sd.size == 1:
+        return [CdfResult(value=v, error_estimate=1e-16, method="closed_form_1d")
+                for v in ndtr(z[:, 0])]
+    corr = _cov_to_corr(cov)
+    if sd.size == 2:
+        rho = float(np.clip(corr[0, 1], -1.0, 1.0))
+        return [CdfResult(value=_bvn_upper(-h, -k, rho), error_estimate=1e-14,
+                          method="quadrature_2d")
+                for h, k in z.tolist()]
+    return _qmc_cdf(corr, z, tol, seed, max_points)
 
 
 def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_SEED,
@@ -485,22 +498,8 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     keep = np.nonzero(np.isfinite(u))[0]
     if keep.size == 0:
         return CdfResult(value=1.0, error_estimate=0.0, method="closed_form_1d")
-    mean = p.mean[keep]
-    cov = p.cov[np.ix_(keep, keep)]
-    sd = np.sqrt(np.diag(cov))
-    if np.any(sd <= 0.0):
-        raise NotPositiveDefiniteError("covariance has a non-positive diagonal entry")
-    z = (u[keep] - mean) / sd
-    m = keep.size
-    if m == 1:
-        return CdfResult(value=_phid(z[0]), error_estimate=1e-16, method="closed_form_1d")
-    if m == 2:
-        rho = float(np.clip(cov[0, 1] / (sd[0] * sd[1]), -1.0, 1.0))
-        value = _bvn_upper(-z[0], -z[1], rho)
-        return CdfResult(value=value, error_estimate=1e-14, method="quadrature_2d")
-    # pgarma passes one _Scrambles as the seed of all its rows.
-    scrambles = seed if isinstance(seed, _Scrambles) else _Scrambles(seed)
-    return _qmc_cdf(_cov_to_corr(cov), z, tol, scrambles, max_points)
+    dev = (u[keep] - p.mean[keep])[None, :]
+    return _rectangle_cdf(dev, p.cov[np.ix_(keep, keep)], tol, seed, max_points)[0]
 
 
 def _sample(mean, factor, count, seed):

@@ -6,10 +6,15 @@ ARMA recursion directly as a linear filter, the autocovariance oracle sums
 products of a filter impulse response, and the conditional-moments oracle
 partitions an explicitly inverted covariance.  The pattern log-density
 oracles are scipy's dense multivariate normal on that autocovariance's
-Toeplitz matrix and, for AR(1), the closed-form Markov likelihood.
+Toeplitz matrix and, for AR(1), the closed-form Markov likelihood.  The
+bivariate normal CDF oracle integrates the density over the correlation
+(Plackett's identity) instead of using the library's quadrature rule.
 """
 
+import math
+
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 from scipy.stats import multivariate_normal
@@ -83,6 +88,26 @@ def ar1_markov_log_density(phi, error_var, mean, x, observed):
     terms = np.log(2.0 * np.pi * np.concatenate(([gamma0], var)))
     terms += np.concatenate(([dev[0] ** 2 / gamma0], resid**2 / var))
     return -0.5 * float(terms.sum())
+
+
+def norm_cdf(x):
+    """Standard normal CDF through ``math.erfc``."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def plackett_bvn_cdf(h, k, rho):
+    """P(X <= h, Y <= k) for standard normals with correlation ``rho``, by
+    Plackett's identity ``Phi(h) Phi(k) + int_0^rho phi2(h, k; r) dr``.
+
+    The integrand is smooth in ``r`` on ``|rho| <= 0.999``; a direct quadrature
+    over ``x`` instead loses about 1e-4 near ``rho = 1``.  No absolute
+    tolerance, so deep-tail values are accurate relative to their size."""
+    def density(r):
+        s2 = (1.0 - r) * (1.0 + r)
+        return math.exp(-(h * h - 2.0 * r * h * k + k * k) / (2.0 * s2)) / (2.0 * math.pi * math.sqrt(s2))
+
+    integral, _ = quad(density, 0.0, rho, epsabs=0.0, epsrel=1e-12, limit=200)
+    return norm_cdf(h) * norm_cdf(k) + integral
 
 
 def brute_conditional(mean, cov, free_idx, cond_idx, values):

@@ -24,8 +24,11 @@ from garma import (
     acf_vector,
     autocovariance,
     build_pattern,
+    dgarma,
     mvn,
+    pgarma,
     psi_weights,
+    rgarma,
     validate_stationary,
     variance_matrix,
 )
@@ -96,6 +99,29 @@ class TestValidateStationary:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             validate_stationary(ArmaSpec(ar=(0.5,)))
+
+    @pytest.mark.parametrize("spec", [{"ar": [0.5]}, ((0.5,),), None], ids=["dict", "tuple", "none"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            validate_stationary,
+            psi_weights,
+            lambda spec: autocovariance(spec, 3),
+            lambda spec: acf_vector(3, spec),
+            lambda spec: variance_matrix(3, spec),
+            lambda spec: dgarma([0.1, 0.2, 0.3], spec),
+            lambda spec: pgarma([0.1, 0.2, 0.3], spec),
+            lambda spec: rgarma(2, 3, spec, seed=1),
+        ],
+        ids=["validate_stationary", "psi_weights", "autocovariance", "acf_vector",
+             "variance_matrix", "dgarma", "pgarma", "rgarma"],
+    )
+    def test_spec_must_be_armaspec(self, call, spec):
+        # Every entry reads the model through validate_stationary, which
+        # accepts only an ArmaSpec: no entry coerces, so none can fail later
+        # with a bare AttributeError.
+        with pytest.raises(InvalidParamError, match="ArmaSpec"):
+            call(spec)
 
 
 class TestPsiWeights:

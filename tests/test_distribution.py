@@ -313,6 +313,12 @@ class TestPgarma:
         logged = pgarma([0.0, 0.0], AR1, log=True)[0]
         assert logged == pytest.approx(math.log(plain), rel=1e-13)
 
+    def test_log_flag_deep_lower_tail(self):
+        # The white-noise quadrant is the product of two normal CDFs; its log
+        # stays finite where the probability is far below 1e-14.
+        logged = pgarma([-10.0, -10.0], WHITE, log=True)[0]
+        assert logged == pytest.approx(2.0 * norm.logcdf(-10.0), rel=1e-13)
+
     def test_three_free_default_seed_reproducible(self):
         x = np.array([0.2, -0.1, 0.4])
         a = pgarma(x, AR1)
@@ -320,11 +326,15 @@ class TestPgarma:
         assert np.array_equal(a, b)
 
     def test_matches_direct_mvn_cdf(self):
-        x = np.array([0.2, -0.1, 0.4])
-        value = pgarma(x, AR1, seed=41)[0]
-        row_seed = np.random.SeedSequence(entropy=41, spawn_key=(0,))
-        direct = mvn.mvn_cdf(x, toeplitz_params(AR1, 3), seed=row_seed)
-        assert value == direct.value
+        rows = np.array([[0.2, -0.1, 0.4], [1.0, 0.3, -0.5], [0.2, -0.1, 0.4], [-0.7, 0.0, 0.9]])
+        values = pgarma(rows, AR1, seed=41)
+        params = toeplitz_params(AR1, 3)
+        # A fresh SeedSequence per call: drawing the scrambles spawns from it.
+        direct = [
+            mvn.mvn_cdf(row, params, seed=np.random.SeedSequence(entropy=41, spawn_key=(0,))).value
+            for row in rows
+        ]
+        assert np.array_equal(values, direct)
 
     def test_rows_share_one_set_of_scrambles(self, monkeypatch):
         from scipy.stats import qmc
@@ -336,19 +346,19 @@ class TestPgarma:
             built.append(kwargs["d"])
             return original(*args, **kwargs)
 
-        results = []
-
-        def recording_cdf(*args, **kwargs):
-            results.append(mvn.mvn_cdf(*args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(qmc, "Sobol", counting_sobol)
-        monkeypatch.setattr(distribution, "mvn_cdf", recording_cdf)
         rows = np.random.default_rng(3).normal(size=(5, 4))
         tol = 1e-4
         values = pgarma(rows, AR1, tol=tol)
         # Ten scrambles of one round serve all five rows.
         assert built == [3] * 10
+        monkeypatch.undo()
+        params = toeplitz_params(AR1, 4)
+        results = [
+            mvn.mvn_cdf(row, params, tol=tol,
+                        seed=np.random.SeedSequence(entropy=mvn.DEFAULT_CDF_SEED, spawn_key=(0,)))
+            for row in rows
+        ]
         assert [r.method for r in results] == ["qmc"] * 5
         assert all(r.error_estimate <= tol for r in results)
         assert np.array_equal(values, [r.value for r in results])
@@ -389,6 +399,12 @@ class TestPgarma:
         values = pgarma(rows, AR1)
         assert values.shape == (2,)
         assert values[1] > values[0]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("cond", [[True, True], [True, False]], ids=["all_cond", "one_free"])
+    def test_bad_tol_rejected_before_anything_else(self, tol, cond):
+        with pytest.raises(InvalidParamError, match="tol"):
+            pgarma([0.1, 0.2], AR1, cond=cond, tol=tol)
 
     def test_all_conditioned_returns_one(self):
         with pytest.warns(AllConditionedWarning):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from garma import (
     AllConditionedError,
@@ -24,7 +25,7 @@ from garma import (
     mvn,
     variance_matrix,
 )
-from conftest import brute_conditional
+from conftest import brute_conditional, norm_cdf, plackett_bvn_cdf
 
 AR1_COV2 = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
 
@@ -257,8 +258,6 @@ class TestMvnCdf:
     def test_univariate_shifted_scaled(self):
         params = mvn.GaussianParams(mean=[3.0], cov=[[4.0]])
         result = mvn.mvn_cdf([5.0], params)
-        from scipy.special import ndtr
-
         assert result.value == pytest.approx(float(ndtr(1.0)), abs=1e-15)
 
     def test_bivariate_independent_orthant(self):
@@ -295,6 +294,48 @@ class TestMvnCdf:
         )
         assert loose.method == "qmc"
         assert quad.value == pytest.approx(loose.value, abs=2e-5)
+
+    @pytest.mark.parametrize("rho", [-0.999, -0.9, -0.5, -0.1, 0.0, 0.3, 0.75, 0.95, 0.999])
+    def test_bivariate_matches_plackett_oracle(self, rho):
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, rho))
+        for h in np.linspace(-8.0, 8.0, 9):
+            for k in np.linspace(-8.0, 8.0, 17):
+                result = mvn.mvn_cdf([h, k], params)
+                assert result.error_estimate == 1e-14
+                assert abs(result.value - plackett_bvn_cdf(h, k, rho)) <= 1e-14, (h, k)
+
+    @pytest.mark.parametrize("h, k", [(0.7, -1.3), (-2.0, -0.4), (0.0, 1.1), (-0.6, 0.0), (0.0, 0.0)])
+    def test_bivariate_exact_cases(self, h, k):
+        def cdf(rho):
+            return mvn.mvn_cdf([h, k], mvn.GaussianParams([0.0, 0.0], equicorr(2, rho))).value
+
+        assert cdf(0.0) == pytest.approx(norm_cdf(h) * norm_cdf(k), abs=1e-15)
+        assert cdf(1.0) == pytest.approx(norm_cdf(min(h, k)), abs=1e-15)
+        assert cdf(-1.0) == pytest.approx(max(0.0, norm_cdf(h) + norm_cdf(k) - 1.0), abs=1e-15)
+        for rho in (-0.8, 0.4):
+            assert cdf(rho) == pytest.approx(plackett_bvn_cdf(h, k, rho), abs=1e-14)
+            if h == 0.0 and k == 0.0:  # Sheppard's orthant formula
+                assert cdf(rho) == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-15)
+
+    def test_bivariate_continuous_across_zero_limit(self):
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, 0.6))
+        for k in (-1.5, 1.5):
+            at_zero = mvn.mvn_cdf([0.0, k], params).value
+            for tiny in (1e-300, -1e-300, 5e-324, -5e-324):
+                assert mvn.mvn_cdf([tiny, k], params).value == pytest.approx(at_zero, abs=1e-15)
+
+    @pytest.mark.parametrize("h, k", [(-10.0, -10.0), (-20.0, -20.0), (-10.0, 5.0), (3.0, -12.0)])
+    def test_bivariate_independent_lower_tail_relative(self, h, k):
+        # Far below the 1e-14 absolute bound: the error must be small relative
+        # to the value, so a log-probability stays finite and accurate.
+        value = mvn.mvn_cdf([h, k], mvn.GaussianParams([0.0, 0.0], np.eye(2))).value
+        assert value == pytest.approx(float(ndtr(h) * ndtr(k)), rel=1e-12)
+
+    @pytest.mark.parametrize("h, k, rho", [(-10.0, -10.0, 0.5), (-5.0, -8.0, 0.5),
+                                           (-10.0, 5.0, 0.9), (-10.0, -10.0, 0.99)])
+    def test_bivariate_correlated_lower_tail_relative(self, h, k, rho):
+        value = mvn.mvn_cdf([h, k], mvn.GaussianParams([0.0, 0.0], equicorr(2, rho))).value
+        assert value == pytest.approx(plackett_bvn_cdf(h, k, rho), rel=1e-11)
 
     def test_bivariate_symmetry(self):
         params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, 0.7))
