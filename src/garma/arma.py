@@ -253,6 +253,26 @@ def _warn_shared_roots(spec, moduli):
         )
 
 
+def _invertible_ma(spec):
+    """``spec`` with every MA root inside the unit circle moved to its
+    reciprocal, and ``error_var`` scaled so that the spectral density, and
+    with it the law of the series, stays the same.
+
+    The inside roots are multiplied out into one factor, which is reversed;
+    its coefficients stay accurate even when those roots cluster.
+    """
+    roots = _poly_roots(spec.ma)
+    inside = roots[np.abs(roots) < 1.0]
+    if not inside.size:
+        return spec
+    poly = np.polynomial.polynomial
+    factor = poly.polyfromroots(inside).real
+    factor /= factor[0]
+    rest = poly.polydiv(np.concatenate(([1.0], spec.ma)), factor)[0]
+    ma = poly.polymul(factor[::-1] / factor[-1], rest)[1:spec.q + 1]
+    return ArmaSpec(ar=spec.ar, ma=ma, mean=spec.mean, error_var=spec.error_var * factor[-1] ** 2)
+
+
 def _cauchy_bound(spec, moduli):
     """Radius ``r`` and ``log M(r)`` of the Cauchy bound on the weights.
 

@@ -8,23 +8,36 @@ positions into conditioning values, so ``dgarma``/``pgarma`` evaluate the
 conditional density/CDF of the remaining free positions.  ``rgarma`` draws
 rows whose conditioned positions reproduce the requested values exactly.
 
-``dgarma`` never forms the ``m x m`` covariance.  It computes ``log p(free |
-cond) = log p(kept) - log p(cond)`` as two exact Kalman-filter passes over
-Harvey's state-space form of the model, each skipping the positions it does
-not observe, in ``O(m)`` time and memory.  ``pgarma`` and ``rgarma`` use the
-dense Toeplitz covariance: the quasi-Monte Carlo CDF needs the conditional
-covariance itself, and ``rgarma`` draws through its Cholesky factor exactly
-as :func:`garma.mvn.sample` does.
+``dgarma`` and ``rgarma`` never form the ``m x m`` covariance; both run in
+``O(m)`` time and memory on Harvey's state-space form of the model.
+``dgarma`` computes ``log p(free | cond) = log p(kept) - log p(cond)`` as two
+exact Kalman-filter passes, each skipping the positions it does not observe.
+``rgarma`` draws each free position in index order given every earlier
+position and the later conditioned values, from the same filter and one
+backward information pass over the conditioned values.  That sequence is the
+index-order Cholesky factor of the conditional covariance, so a seed gives
+the same draws as :func:`garma.mvn.sample` of the conditional moments, up to
+rounding.  ``pgarma`` uses the dense Toeplitz covariance: the quasi-Monte
+Carlo CDF needs the conditional covariance itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .arma import ArmaSpec, _acvf, _covariance, _psi_prefix, _warn_shared_roots, validate_stationary
+from .arma import (
+    ArmaSpec,
+    _acvf,
+    _covariance,
+    _invertible_ma,
+    _psi_prefix,
+    _warn_shared_roots,
+    validate_stationary,
+)
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
@@ -36,10 +49,8 @@ from .mvn import (
     _DEFAULT_MAX_POINTS,
     _LOG_2PI,
     DEFAULT_CDF_SEED,
-    _factor,
     _free_moments,
     _rectangle_cdf,
-    _sample,
 )
 
 __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
@@ -47,6 +58,12 @@ __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
 # Change of the filter covariance, relative to the one-step prediction
 # variance, below which it counts as steady.
 _STEADY_TOL = 1e-15
+
+# Positions whose filter quantities are stacked at a time by rgarma.
+_CHUNK = 4096
+
+# Entries of a power of the transition matrix below this are dropped.
+_NEGLIGIBLE = 2.0**-60
 
 
 def as_series_matrix(x) -> np.ndarray:
@@ -120,6 +137,31 @@ def _state_space(spec, moduli):
     return transition, var * np.outer(theta, theta), 0.5 * (p0 + p0.T)
 
 
+def _filter_steps(cov, transition, q_cov, first):
+    """The Kalman filter over observed positions ``first, first + 1, ...``
+    (0-based), started at prediction covariance ``cov``.
+
+    Yields, per position, its prediction covariance ``P`` and gain ``K``, the
+    next position's ``P``, and whether the step left ``P`` unchanged; callers
+    stop there, since every later position repeats it.  A non-positive
+    prediction variance ``P[0, 0]`` raises :class:`NotPositiveDefiniteError`.
+    """
+    back = transition.T
+    for t in itertools.count(first):
+        f = cov[0, 0]
+        if not f > 0.0:
+            raise NotPositiveDefiniteError(
+                f"one-step prediction variance {f!r} at position {t + 1} is not positive"
+            )
+        ahead = transition @ cov
+        gain = ahead[:, 0] / f
+        step = ahead @ back
+        step -= ahead[:, :1] * gain
+        step += q_cov
+        yield cov, gain, step, np.abs(step - cov).max() <= _STEADY_TOL * f
+        cov = step
+
+
 def _filter_gains(observed, transition, q_cov, p0):
     """Kalman filter variances ``F[t]`` and predictive gains ``K[t]`` for the
     positions marked in ``observed``; ``K[t]`` is zero elsewhere.
@@ -133,7 +175,6 @@ def _filter_gains(observed, transition, q_cov, p0):
     variances = np.ones(m)
     gains = np.zeros((m, transition.shape[0]))
     edges = np.flatnonzero(observed[1:] != observed[:-1]) + 1
-    back = transition.T
     cov = p0
     for start, end in zip([0, *edges], [*edges, m]):
         if not observed[start]:
@@ -141,23 +182,12 @@ def _filter_gains(observed, transition, q_cov, p0):
                 power = np.linalg.matrix_power(transition, end - start)
                 cov = p0 + power @ (cov - p0) @ power.T
             continue
-        for t in range(start, end):
-            f = cov[0, 0]
-            if not f > 0.0:
-                raise NotPositiveDefiniteError(
-                    f"one-step prediction variance {f!r} at position {t + 1} is not positive"
-                )
-            ahead = transition @ cov
-            gain = ahead[:, 0] / f
-            step = ahead @ back
-            step -= ahead[:, :1] * gain
-            step += q_cov
-            variances[t] = f
+        steps = _filter_steps(cov, transition, q_cov, start)
+        for t, (now, gain, cov, steady) in zip(range(start, end), steps):
+            variances[t] = now[0, 0]
             gains[t] = gain
-            steady = np.abs(step - cov).max() <= _STEADY_TOL * f
-            cov = step
             if steady:
-                variances[t + 1:end] = f
+                variances[t + 1:end] = now[0, 0]
                 gains[t + 1:end] = gain
                 break
     return variances, gains
@@ -283,6 +313,150 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     return np.log(out) if log else out
 
 
+def _power_table(transition, q_cov, count):
+    """``T**k`` and ``V[k] = sum_{j<k} T**j Q T**j'``, the covariance of the
+    state ``k`` steps ahead given the state now, for ``k < count``.
+
+    Both come by doubling, ``T**(n+j) = T**n T**j`` and ``V[n+j] = V[n] +
+    T**n V[j] T**n'``, so ``V`` is a sum of positive terms without the
+    cancellation of ``P0 - T**k P0 T**k'``.  Entries of ``T**k`` below
+    ``_NEGLIGIBLE`` are flushed to exact zeros, never left to become
+    subnormal, and the table ends before the first power that is all zero:
+    every later power is zero too.
+    """
+    r = transition.shape[0]
+    powers, covs = np.eye(r)[None], np.zeros((1, r, r))
+    while len(powers) < count:
+        n = len(powers)
+        top = transition @ powers[-1]
+        block = top @ powers[:count - n]
+        block[np.abs(block) < _NEGLIGIBLE] = 0.0
+        block_cov = q_cov + transition @ covs[-1] @ transition.T
+        block_cov = block_cov + top @ covs[:count - n] @ top.T
+        nonzero = block.any(axis=(1, 2))
+        keep = block.shape[0] if nonzero.all() else int(np.argmin(nonzero))
+        powers = np.concatenate((powers, block[:keep]))
+        covs = np.concatenate((covs, block_cov[:keep]))
+        if keep < block.shape[0]:
+            break
+    return powers, covs
+
+
+def _cross(info, lin, power, cov):
+    """Information ``(info, lin)`` about the state ``k`` unobserved steps
+    back, from information about the state now and ``T**k``, ``V[k]``.
+
+    Information ``(M, mu)`` about a state ``a`` is the log-likelihood ``-a'M
+    a/2 + mu'a`` of the values it stands for; carried back it becomes ``T'(I
+    + M V)^-1 M T`` and ``T'(I + M V)^-1 mu``, which needs no inverse of
+    ``M``.  Leading axes are batch axes.
+    """
+    rhs = np.concatenate((info @ power, lin[..., None]), axis=-1)
+    solved = np.linalg.solve(np.eye(info.shape[-1]) + info @ cov, rhs)
+    back = np.swapaxes(power, -1, -2)
+    return back @ solved[..., :-1], (back @ solved[..., -1:])[..., 0]
+
+
+def _conditional_draw(dev, cond, model, z):
+    """Rows of deviations from the mean, pinned to ``dev`` at the ``cond``
+    positions, with each free position drawn from its law given every earlier
+    position and the later conditioned ones, from one standard normal column
+    of ``z`` per free position in index order.
+
+    That law combines the forward filter, which observes every earlier
+    position, with the information about its state from the later
+    conditioned values.  The information is computed backwards once, across
+    each free run in closed form by :func:`_cross`; its coefficients depend
+    only on the pattern and the values, so every row shares them.  The rows
+    then come from one unit lower-triangular banded solve in the unknowns
+    ``y[0], v[0], y[1], v[1], ...``, with ``v[t]`` the filter innovation.
+    """
+    transition, q_cov, p0 = model
+    r, m = transition.shape[0], cond.size
+    phi = transition[:, 0]
+    var = q_cov[0, 0]
+    theta = q_cov[0] / var
+    # y[e] = first @ a[e-1] + e[e]; given y[e], a[e] = exact @ a[e-1] + theta y[e].
+    first = transition[0]
+    exact = transition - np.outer(theta, first)
+
+    cond_idx = np.flatnonzero(cond)
+    nxt = np.searchsorted(cond_idx, np.arange(m), side="right")
+    later = nxt < cond_idx.size
+    # Steps from the state at t to the state before the next conditioned position.
+    steps = np.append(cond_idx, m)[nxt] - 1 - np.arange(m)
+    powers, covs = _power_table(transition, q_cov, steps[later].max() + 1 if later.any() else 0)
+    reach = later & (steps < len(powers))
+
+    info = np.empty((cond_idx.size, r, r))
+    lin = np.empty((cond_idx.size, r))
+    own = np.outer(first, first) / var
+    for i in range(cond_idx.size - 1, -1, -1):
+        e = cond_idx[i]
+        info[i] = own
+        lin[i] = first * (dev[e] / var)
+        if reach[e]:
+            omega, w = _cross(info[i + 1], lin[i + 1], powers[steps[e]], covs[steps[e]])
+            info[i] += exact.T @ omega @ exact
+            lin[i] += exact.T @ (w - omega @ theta * dev[e])
+
+    diffs = np.empty((m, r))  # K[t] - phi
+    on_y = np.zeros((m, r))  # coefficients of y[t-k] and v[t-k] in row y[t]
+    on_v = np.zeros((m, r))
+    shift = np.zeros(m)
+    scale = np.zeros(m)
+    filt, steady = _filter_steps(p0, transition, q_cov, 0), None
+    for a in range(0, m, _CHUNK):
+        b = min(a + _CHUNK, m)
+        pred = np.empty((b - a, r, r))
+        t = a
+        while steady is None and t < b:
+            cov, gain, _, done = next(filt)
+            pred[t - a], diffs[t] = cov, gain - phi
+            steady = (cov, gain - phi) if done else None
+            t += 1
+        if t < b:
+            pred[t - a:], diffs[t:b] = steady
+        h = pred[:, :, 0].copy()
+        g = np.zeros((b - a, r))
+        g[:, 0] = 1.0
+        sel = np.flatnonzero(reach[a:b] & ~cond[a:b])
+        if sel.size:
+            omega, w = _cross(info[nxt[a + sel]], lin[nxt[a + sel]],
+                              powers[steps[a + sel]], covs[steps[a + sel]])
+            here = pred[sel]
+            h[sel] = np.linalg.solve(np.eye(r) + here @ omega, here[:, :, :1])[:, :, 0]
+            g[sel] -= (omega @ h[sel][:, :, None])[:, :, 0]
+            shift[a + sel] = np.einsum("ij,ij->i", h[sel], w)
+        free = np.flatnonzero(~cond[a:b])
+        bad = free[~(h[free, 0] > 0.0)]
+        if bad.size:
+            raise NotPositiveDefiniteError(
+                f"conditional variance {h[bad[0], 0]!r} at position {a + bad[0] + 1} is not positive"
+            )
+        scale[a + free] = np.sqrt(h[free, 0])
+        for k in range(1, r + 1):
+            on_y[a + free, k - 1] = g[free, :r - k + 1] @ phi[k - 1:]
+            on_v[a + free, k - 1] = np.einsum(
+                "ij,ij->i", g[free, :r - k + 1], diffs[np.maximum(a + free - k, 0), k - 1:]
+            )
+
+    band = np.zeros((2 * r + 2, 2 * m), order="F")
+    band[0] = 1.0
+    band[1, 0::2] = -1.0
+    for k in range(1, r + 1):
+        span = 2 * max(m - k, 0)
+        band[2 * k, 0:span:2] = -on_y[k:, k - 1]
+        band[2 * k - 1, 1:span:2] = -on_v[k:, k - 1]
+        band[2 * k, 1:span:2] = diffs[:m - k, k - 1]
+        band[2 * k + 1, 0:span:2] = phi[k - 1]
+    rhs = np.zeros((2 * m, z.shape[0]), order="F")
+    rhs[2 * cond_idx] = dev[cond_idx, None]
+    free = np.flatnonzero(~cond)
+    rhs[2 * free] = shift[free, None] + scale[free, None] * z.T
+    return dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=True)[0][0::2].T
+
+
 def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarray:
     """Draw ``n`` series of length ``m``; positions with finite ``condvals``
     entries are pinned to those values exactly (bit for bit) and the free
@@ -290,6 +464,23 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
 
     With every position conditioned the output is just ``n`` copies of
     ``condvals`` and no randomness is consumed.
+
+    Notes
+    -----
+    Each free position is drawn in index order from its law given every
+    earlier position and the later conditioned values: the exact Kalman
+    filter of :func:`dgarma`, observing every position, combined with a
+    backward information filter over the conditioned values (the two-filter
+    form of Fraser & Potter 1969).  That sequence is the index-order
+    Cholesky factor of the conditional covariance, so a seed gives the same
+    draws as :func:`garma.mvn.sample` of the conditional moments, up to
+    rounding: ``default_rng(seed).standard_normal((n, n_free))`` supplies
+    one column per free position.  The state-space form uses the invertible
+    moving average with the same autocovariances, which keeps the backward
+    information bounded.  With ``r = max(p, q + 1)`` a call costs ``O(m
+    r**3)`` time and ``O(m r**2)`` memory; every row comes from one banded
+    triangular solve, and no ``m x m`` matrix is formed.  A non-positive
+    conditional variance raises :class:`NotPositiveDefiniteError`.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParamError(f"n must be a positive integer, got {n!r}")
@@ -309,8 +500,8 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
         return out
 
     _warn_shared_roots(spec, moduli)
-    free_idx, free_means, free_cov = _free_moments(
-        np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, pattern.values[None, :]
-    )
-    out[:, free_idx] = _sample(free_means[0], _factor(free_cov), n, seed)
+    z = np.random.default_rng(seed).standard_normal((n, m - np.count_nonzero(cond)))
+    model = _state_space(_invertible_ma(spec), moduli)
+    dev = _conditional_draw(pattern.values - spec.mean, cond, model, z)
+    out[:, ~cond] = spec.mean + dev[:, ~cond]
     return out

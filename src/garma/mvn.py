@@ -415,6 +415,16 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     from scipy.stats import qmc
 
     factors = [_ordered_cholesky(corr, row) for row in z]
+    if isinstance(seed, np.random.SeedSequence):
+        # Each engine spawns a child of the generator's SeedSequence; a copy
+        # leaves the caller's object as it was, so it gives the same
+        # scrambles on every call.
+        seed = np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
     rng = np.random.default_rng(seed)
     results = {}
     exponent = 10

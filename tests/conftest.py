@@ -6,9 +6,10 @@ ARMA recursion directly as a linear filter, the autocovariance oracle sums
 products of a filter impulse response, and the conditional-moments oracle
 partitions an explicitly inverted covariance.  The pattern log-density
 oracles are scipy's dense multivariate normal on that autocovariance's
-Toeplitz matrix and, for AR(1), the closed-form Markov likelihood.  The
-bivariate normal CDF oracle integrates the density over the correlation
-(Plackett's identity) instead of using the library's quadrature rule.
+Toeplitz matrix and, for AR(1), the closed-form Markov likelihood; the AR(1)
+sampler oracle is the scalar Markov bridge.  The bivariate normal CDF oracle
+integrates the density over the correlation (Plackett's identity) instead of
+using the library's quadrature rule.
 """
 
 import math
@@ -90,6 +91,43 @@ def ar1_markov_log_density(phi, error_var, mean, x, observed):
     return -0.5 * float(terms.sum())
 
 
+def ar1_bridge_sample(phi, error_var, mean, condvals, n, seed):
+    """``n`` AR(1) series pinned to the finite entries of ``condvals``, each
+    free position drawn in index order from the scalar Markov bridge p(y[t] |
+    y[t-1], next pinned value), with one column of
+    ``default_rng(seed).standard_normal((n, n_free))`` per free position.
+
+    Given y[t-1], y[t] is normal with mean ``phi * y[t-1]`` and variance
+    ``error_var`` (the stationary law at t = 0); the pinned value ``d`` steps
+    on is ``phi**d * y[t]`` plus noise of variance ``error_var * (1 -
+    phi**(2d)) / (1 - phi**2)``; the bridge law is their product.  All in
+    deviations from ``mean``."""
+    vals = np.asarray(condvals, dtype=float) - mean
+    pinned = np.flatnonzero(np.isfinite(vals))
+    z = np.random.default_rng(seed).standard_normal((n, vals.size - pinned.size))
+    gamma0 = error_var / ((1.0 - phi) * (1.0 + phi))
+    out = np.empty((n, vals.size))
+    column = 0
+    for t, value in enumerate(vals):
+        if np.isfinite(value):
+            out[:, t] = value
+            continue
+        prior_mean, prior_var = (phi * out[:, t - 1], error_var) if t else (0.0, gamma0)
+        after = np.searchsorted(pinned, t)
+        if after < pinned.size:
+            d = int(pinned[after]) - t
+            lead = phi**d
+            noise = gamma0 * -math.expm1(2.0 * d * math.log(abs(phi)))
+            denom = noise + lead * lead * prior_var
+            cond_mean = (noise * prior_mean + lead * prior_var * vals[pinned[after]]) / denom
+            cond_var = prior_var * noise / denom
+        else:
+            cond_mean, cond_var = prior_mean, prior_var
+        out[:, t] = cond_mean + math.sqrt(cond_var) * z[:, column]
+        column += 1
+    return mean + out
+
+
 def norm_cdf(x):
     """Standard normal CDF through ``math.erfc``."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -110,16 +148,23 @@ def plackett_bvn_cdf(h, k, rho):
     return norm_cdf(h) * norm_cdf(k) + integral
 
 
-def brute_conditional(mean, cov, free_idx, cond_idx, values):
-    """Conditional moments through an explicit inverse (oracle only)."""
+def brute_conditional(mean, cov, free_idx, cond_idx, values, refine=False):
+    """Conditional moments through an explicit inverse (oracle only).
+
+    With ``refine``, one step of iterative refinement with the same inverse
+    takes the regression coefficients from an error of about cond(saa) * eps
+    to about eps, which a 1e-12 check on an ill-conditioned block needs."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     saa = cov[np.ix_(cond_idx, cond_idx)]
     sfa = cov[np.ix_(free_idx, cond_idx)]
     sff = cov[np.ix_(free_idx, free_idx)]
     inv = np.linalg.inv(saa)
-    cmean = mean[free_idx] + sfa @ inv @ (np.asarray(values, dtype=float) - mean[cond_idx])
-    ccov = sff - sfa @ inv @ sfa.T
+    coef = sfa @ inv
+    if refine:
+        coef = coef + (sfa - coef @ saa) @ inv
+    cmean = mean[free_idx] + coef @ (np.asarray(values, dtype=float) - mean[cond_idx])
+    ccov = sff - coef @ sfa.T
     return cmean, ccov
 
 

@@ -32,10 +32,13 @@ from garma import (
     mvn,
     pgarma,
     rgarma,
+    validate_stationary,
     variance_matrix,
 )
 from garma import distribution
 from conftest import (
+    acvf_oracle,
+    ar1_bridge_sample,
     ar1_markov_log_density,
     brute_conditional,
     dense_pattern_log_density,
@@ -551,12 +554,14 @@ class TestMixedPattern:
         cm = mvn.conditional_moments(params, mixed)
         assert np.max(np.abs(cm.cond_mean - omean)) <= 1e-10 * max(1.0, np.abs(omean).max())
 
-        # rgarma draws its free columns with the one sampler, bit for bit.
+        # rgarma's sequential draw is the index-order Cholesky factor of the
+        # conditional covariance, so it matches the dense sampler on the same
+        # seed up to rounding.
         pattern = build_pattern(condvals=condvals)
         cm = mvn.conditional_moments(params, pattern)
         draws = rgarma(4, m, spec, condvals=condvals, seed=seed)
         expected = mvn.sample(mvn.GaussianParams(cm.cond_mean, cm.cond_cov), 4, seed=seed)
-        assert np.array_equal(draws[:, ~flags], expected)
+        assert np.abs(draws[:, ~flags] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _invert_ma(spec):
@@ -675,6 +680,114 @@ class TestKalmanEngine:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False False True"
+
+
+class TestSequentialSampler:
+    """rgarma's forward filter plus backward information, against the AR(1)
+    Markov bridge and the dense sampler of the conditional moments."""
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("m", [50, 2000])
+    @pytest.mark.parametrize("phi", [0.5, 0.99, 0.999, 0.9999])
+    def test_against_ar1_bridge(self, phi, m, share):
+        mean, error_var = 1.5, 2.0
+        rng = np.random.default_rng(m + int(phi * 10_000))
+        path = mean + math.sqrt(error_var) * _ar1_series(phi, m, rng)
+        condvals = np.full(m, np.nan)
+        pinned = rng.choice(m, size=int(round(share * m)), replace=False)
+        condvals[pinned] = path[pinned]
+        spec = ArmaSpec(ar=(phi,), mean=mean, error_var=error_var)
+        draws = rgarma(3, m, spec, condvals=condvals, seed=5)
+        want = ar1_bridge_sample(phi, error_var, mean, condvals, 3, 5)
+        assert np.array_equal(draws[:, pinned], want[:, pinned])
+        assert np.abs(draws - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(1, 200), share=st.sampled_from([0.0, 0.05, 0.3, 0.8]))
+    @example(seed=40, m=41, share=0.8)  # non-invertible MA, 40 of 41 pinned
+    def test_against_dense_sampler(self, seed, m, share):
+        rng = np.random.default_rng(seed)
+        spec = random_stationary_spec(rng)
+        flags = rng.random(m) < share
+        flags[rng.integers(m)] = False
+        condvals = np.where(flags, spec.mean + 2.0 * rng.normal(size=m), np.nan)
+        free_idx, cond_idx = np.flatnonzero(~flags), np.flatnonzero(flags)
+        gamma = acvf_oracle(spec, np.arange(m))
+        cov = gamma[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+        if cond_idx.size:
+            mean, cond_cov = brute_conditional(
+                np.full(m, spec.mean), cov, free_idx, cond_idx, condvals[cond_idx], refine=True
+            )
+        else:
+            mean, cond_cov = np.full(m, spec.mean), cov
+        params = mvn.GaussianParams(mean, 0.5 * (cond_cov + cond_cov.T))
+        expected = mvn.sample(params, 3, seed=seed)
+        draws = rgarma(3, m, spec, condvals=condvals, seed=seed)
+        assert np.array_equal(draws[:, flags], np.broadcast_to(condvals[flags], (3, cond_idx.size)))
+        assert np.abs(draws[:, ~flags] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "ma", [(2.0,), (0.884, -0.881), (-4.0, 4.0), (2.5, 1.0), (0.5, 0.06), (-1.0,)]
+    )
+    def test_invertible_ma_keeps_the_law(self, ma):
+        from garma.arma import _invertible_ma, _poly_roots
+
+        spec = ArmaSpec(ar=(0.5,), ma=ma, mean=0.3, error_var=1.3)
+        flipped = _invertible_ma(spec)
+        assert np.all(np.abs(_poly_roots(flipped.ma)) >= 1.0)
+        assert (flipped.ar, flipped.mean) == (spec.ar, spec.mean)
+        want = acvf_oracle(spec, np.arange(6))
+        got = acvf_oracle(flipped, np.arange(6))
+        assert np.abs(got - want).max() <= 1e-14 * want[0]
+
+    def test_length_100000_in_bounded_memory(self):
+        m = 100_000
+        spec = ArmaSpec(ar=(0.8, -0.2), ma=(0.6, 0.3), mean=0.5, error_var=1.5)
+        condvals = np.full(m, np.nan)
+        pinned = [0, 17, 50_000, m - 3]
+        condvals[pinned] = [1.0, -2.0, 0.5, 3.0]
+        tracemalloc.start()
+        try:
+            draws = rgarma(2, m, spec, condvals=condvals, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(draws))
+        assert np.array_equal(draws[:, pinned], np.tile(condvals[pinned], (2, 1)))
+        assert peak < 64 * 2**20
+
+    def test_no_dense_covariance(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rgarma built a dense covariance")
+
+        for name in ("_covariance", "_free_moments"):
+            monkeypatch.setattr(distribution, name, refuse)
+        monkeypatch.setattr(mvn, "_factor", refuse)
+        monkeypatch.setattr(mvn, "_sample", refuse)
+        draws = rgarma(3, 40, GARMA22, condvals=[1.0] + [np.nan] * 38 + [-1.0], seed=4)
+        assert np.all(np.isfinite(draws))
+
+    def test_powers_flush_to_zero_never_subnormal(self):
+        moduli = validate_stationary(GARMA22)
+        transition, q_cov, _ = distribution._state_space(GARMA22, moduli)
+        powers, covs = distribution._power_table(transition, q_cov, 10_000)
+        assert 1 < len(powers) < 10_000
+        assert not np.any((powers != 0.0) & (np.abs(powers) < np.finfo(float).tiny))
+        assert np.all(np.isfinite(covs))
+        k = len(powers) - 1
+        assert np.allclose(powers[k], np.linalg.matrix_power(transition, k), rtol=0.0, atol=1e-17)
+
+    def test_non_positive_conditional_variance_raises(self, monkeypatch):
+        # With a consistent model the filter's own check comes first, so
+        # negative information stands in for a rounding failure here.
+        def negative(info, lin, power, cov):
+            return -10.0 * np.ones_like(info), np.zeros_like(lin)
+
+        monkeypatch.setattr(distribution, "_cross", negative)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError, match="at position 1 "):
+                rgarma(2, 4, AR1, condvals=[np.nan, np.nan, np.nan, 0.5], seed=1)
 
 
 class TestRootsFoundOnce:

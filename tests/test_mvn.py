@@ -364,6 +364,18 @@ class TestMvnCdf:
         assert a.value == b.value
         assert a.error_estimate == b.error_estimate
 
+    def test_seed_sequence_is_not_consumed(self):
+        params = mvn.GaussianParams(mean=np.zeros(4), cov=equicorr(4, 0.5))
+        upper = [0.5, 0.3, 0.8, 1.0]
+        seq = np.random.SeedSequence(41, spawn_key=(0,))
+        a = mvn.mvn_cdf(upper, params, seed=seq)
+        b = mvn.mvn_cdf(upper, params, seed=seq)
+        fresh = mvn.mvn_cdf(upper, params, seed=np.random.SeedSequence(41, spawn_key=(0,)))
+        assert a.method == "qmc"
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
+        assert (a.value, a.error_estimate) == (fresh.value, fresh.error_estimate)
+        assert seq.n_children_spawned == 0
+
     def test_default_seed_is_fixed(self):
         params = mvn.GaussianParams(mean=np.zeros(3), cov=equicorr(3, 0.5))
         a = mvn.mvn_cdf([0.1, 0.2, 0.3], params)
