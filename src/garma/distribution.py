@@ -396,7 +396,9 @@ def _conditional_draw(dev, cond, model, z):
         info[i] = own
         lin[i] = first * (dev[e] / var)
         if reach[e]:
-            omega, w = _cross(info[i + 1], lin[i + 1], powers[steps[e]], covs[steps[e]])
+            omega, w = info[i + 1], lin[i + 1]
+            if steps[e]:  # zero steps: the next conditioned value is adjacent
+                omega, w = _cross(omega, w, powers[steps[e]], covs[steps[e]])
             info[i] += exact.T @ omega @ exact
             lin[i] += exact.T @ (w - omega @ theta * dev[e])
 
@@ -444,8 +446,8 @@ def _conditional_draw(dev, cond, model, z):
     band = np.zeros((2 * r + 2, 2 * m), order="F")
     band[0] = 1.0
     band[1, 0::2] = -1.0
-    for k in range(1, r + 1):
-        span = 2 * max(m - k, 0)
+    for k in range(1, min(r, m - 1) + 1):
+        span = 2 * (m - k)
         band[2 * k, 0:span:2] = -on_y[k:, k - 1]
         band[2 * k - 1, 1:span:2] = -on_v[k:, k - 1]
         band[2 * k, 1:span:2] = diffs[:m - k, k - 1]

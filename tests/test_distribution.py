@@ -711,6 +711,29 @@ class TestSequentialSampler:
         flags = rng.random(m) < share
         flags[rng.integers(m)] = False
         condvals = np.where(flags, spec.mean + 2.0 * rng.normal(size=m), np.nan)
+        self._check_against_dense(spec, condvals, seed)
+
+    @pytest.mark.parametrize("pinned", [(), (0,), (-1,), (0, -1)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ArmaSpec(ar=(0.3, 0.2, 0.1, 0.1)),
+            ArmaSpec(ma=(0.5, 0.3, 0.2), mean=1.0),
+            ArmaSpec(ar=(0.5, -0.2, 0.1), ma=(0.4, 0.3, -0.2, 0.1), error_var=2.0),
+        ],
+    )
+    def test_series_no_longer_than_the_state(self, spec, m, pinned):
+        # State sizes r = 4, 4, 5: for m <= r the band ends before lag r.
+        condvals = np.full(m, np.nan)
+        idx = sorted({i % m for i in pinned})[:m - 1]  # keep one position free
+        condvals[idx] = [0.7, -1.1][:len(idx)]
+        self._check_against_dense(spec, condvals, m)
+
+    @staticmethod
+    def _check_against_dense(spec, condvals, seed):
+        m = condvals.size
+        flags = ~np.isnan(condvals)
         free_idx, cond_idx = np.flatnonzero(~flags), np.flatnonzero(flags)
         gamma = acvf_oracle(spec, np.arange(m))
         cov = gamma[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
