@@ -9,21 +9,21 @@ conditional density/CDF of the remaining free positions.  ``rgarma`` draws
 rows whose conditioned positions reproduce the requested values exactly.
 
 ``dgarma`` and ``rgarma`` never form the ``m x m`` covariance; both run in
-``O(m)`` time and memory on Harvey's state-space form of the model.
-``dgarma`` computes ``log p(free | cond) = log p(kept) - log p(cond)`` as two
-exact Kalman-filter passes, each skipping the positions it does not observe.
-``rgarma`` draws each free position in index order given every earlier
-position and the later conditioned values, from the same filter and one
-backward information pass over the conditioned values.  That sequence is the
-index-order Cholesky factor of the conditional covariance, so a seed gives
-the same draws as :func:`garma.mvn.sample` of the conditional moments, up to
-rounding.  ``pgarma`` uses the dense Toeplitz covariance: the quasi-Monte
-Carlo CDF needs the conditional covariance itself.
+``O(m)`` time and memory through one forward Kalman filter on Harvey's
+state-space form of the model.  ``dgarma`` computes ``log p(free | cond) =
+log p(kept) - log p(cond)`` as two passes of it, each skipping the positions
+it does not observe.  ``rgarma`` runs it over every position and adds one
+backward information pass over the conditioned values, to draw each free
+position in index order given every earlier position and the later
+conditioned values.  That sequence is the index-order Cholesky factor of the
+conditional covariance, so a seed gives the same draws as
+:func:`garma.mvn.sample` of the conditional moments, up to rounding.
+``pgarma`` uses the dense Toeplitz covariance: the quasi-Monte Carlo CDF
+needs the conditional covariance itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamError,
     NotPositiveDefiniteError,
+    _check_seed,
 )
 from .mvn import (
     _DEFAULT_MAX_POINTS,
@@ -59,24 +60,20 @@ __all__ = ["dgarma", "pgarma", "rgarma", "as_series_matrix"]
 # variance, below which it counts as steady.
 _STEADY_TOL = 1e-15
 
-# Positions whose filter quantities are stacked at a time by rgarma.
-_CHUNK = 4096
-
 # Entries of a power of the transition matrix below this are dropped.
 _NEGLIGIBLE = 2.0**-60
 
 
 def as_series_matrix(x) -> np.ndarray:
-    """Coerce a vector or matrix to a 2-D float array of series rows."""
+    """Coerce a vector or matrix to a 2-D float array of one or more non-empty series rows."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2:
+    if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatchError(
-            f"x must be a vector or a matrix of series rows, got ndim={arr.ndim}"
+            "x must be a vector or a matrix of series rows, with at least one row "
+            f"and one position; got shape {np.shape(x)}"
         )
-    if arr.shape[1] < 1:
-        raise DimensionMismatchError("series must contain at least one position")
     if np.any(np.isinf(arr)):
         raise InvalidParamError("series values must be finite or NaN")
     return arr
@@ -89,8 +86,7 @@ def _degenerate_unit(kind, count, log):
         AllConditionedWarning,
         stacklevel=3,
     )
-    out = np.zeros(count) if log else np.ones(count)
-    return out
+    return np.zeros(count) if log else np.ones(count)
 
 
 def _row_pattern(rows, cond):
@@ -137,60 +133,53 @@ def _state_space(spec, moduli):
     return transition, var * np.outer(theta, theta), 0.5 * (p0 + p0.T)
 
 
-def _filter_steps(cov, transition, q_cov, first):
-    """The Kalman filter over observed positions ``first, first + 1, ...``
-    (0-based), started at prediction covariance ``cov``.
+def _filter(observed, model):
+    """The Kalman filter over the ``observed`` positions, from the stationary
+    state covariance: the distinct prediction covariances ``P`` as a stack,
+    the gains ``K[t]`` (zero where unobserved) and, per observed position,
+    the index of its ``P`` in the stack.  All depend only on the pattern.
 
-    Yields, per position, its prediction covariance ``P`` and gain ``K``, the
-    next position's ``P``, and whether the step left ``P`` unchanged; callers
-    stop there, since every later position repeats it.  A non-positive
-    prediction variance ``P[0, 0]`` raises :class:`NotPositiveDefiniteError`.
-    """
+    Within a run of observed positions the update stops once ``P`` no longer
+    changes; a run of ``k`` unobserved positions moves ``P`` to ``P0 + T**k
+    (P - P0) T**k'`` in one step.  A non-positive prediction variance raises
+    :class:`NotPositiveDefiniteError`."""
+    transition, q_cov, p0 = model
+    m, r = observed.size, transition.shape[0]
     back = transition.T
-    for t in itertools.count(first):
-        f = cov[0, 0]
-        if not f > 0.0:
-            raise NotPositiveDefiniteError(
-                f"one-step prediction variance {f!r} at position {t + 1} is not positive"
-            )
-        ahead = transition @ cov
-        gain = ahead[:, 0] / f
-        step = ahead @ back
-        step -= ahead[:, :1] * gain
-        step += q_cov
-        yield cov, gain, step, np.abs(step - cov).max() <= _STEADY_TOL * f
-        cov = step
-
-
-def _filter_gains(observed, transition, q_cov, p0):
-    """Kalman filter variances ``F[t]`` and predictive gains ``K[t]`` for the
-    positions marked in ``observed``; ``K[t]`` is zero elsewhere.
-
-    They depend only on the pattern, so every row shares them.  Within a run
-    of observed positions the covariance update stops once ``P`` no longer
-    changes; a run of ``k`` unobserved positions moves ``P`` to ``P0 +
-    T**k (P - P0) T**k'`` in one step.
-    """
-    m = observed.size
-    variances = np.ones(m)
-    gains = np.zeros((m, transition.shape[0]))
+    gains = np.zeros((m, r))
+    index = np.zeros(m, dtype=np.intp)
+    covs = np.empty((16, r, r))  # each step writes its P here; doubled when full
+    k, cov = 0, p0
     edges = np.flatnonzero(observed[1:] != observed[:-1]) + 1
-    cov = p0
     for start, end in zip([0, *edges], [*edges, m]):
         if not observed[start]:
             if end < m:
                 power = np.linalg.matrix_power(transition, end - start)
                 cov = p0 + power @ (cov - p0) @ power.T
             continue
-        steps = _filter_steps(cov, transition, q_cov, start)
-        for t, (now, gain, cov, steady) in zip(range(start, end), steps):
-            variances[t] = now[0, 0]
-            gains[t] = gain
+        covs[k] = cov
+        for t in range(start, end):
+            if k + 1 == len(covs):
+                covs = np.concatenate((covs, np.empty_like(covs)))
+            f = cov[0, 0]
+            if not f > 0.0:
+                raise NotPositiveDefiniteError(
+                    f"one-step prediction variance {f!r} at position {t + 1} is not positive"
+                )
+            ahead = transition @ cov
+            gain = np.divide(ahead[:, 0], f, out=gains[t])
+            step = np.matmul(ahead, back, out=covs[k + 1])
+            step -= ahead[:, :1] * gain
+            step += q_cov
+            index[t] = k
+            k += 1
+            steady = np.abs(step - cov).max() <= _STEADY_TOL * f
+            cov = step
             if steady:
-                variances[t + 1:end] = now[0, 0]
                 gains[t + 1:end] = gain
+                index[t + 1:end] = k - 1
                 break
-    return variances, gains
+    return covs[:k], gains, index
 
 
 def _filter_log_density(dev, observed, model):
@@ -203,10 +192,9 @@ def _filter_log_density(dev, observed, model):
     for all rows (at an unobserved ``t``, ``v[t]`` is minus the prediction),
     solved by LAPACK's triangular banded solver.
     """
-    variances, gains = _filter_gains(observed, *model)
+    pred, gains, index = _filter(observed, model)
     phi = model[0][:, 0]
-    r, m = phi.size, observed.size
-    band = np.empty((r + 1, m))
+    band = np.empty((phi.size + 1, observed.size))
     band[0] = 1.0
     band[1:] = gains.T - phi[:, None]
     x = np.where(observed, dev, 0.0)
@@ -214,7 +202,7 @@ def _filter_log_density(dev, observed, model):
     for k in np.flatnonzero(phi) + 1:
         rhs[:, k:] -= phi[k - 1] * x[:, :-k]
     innov = dtbtrs(band, rhs.T, uplo="L", diag="U")[0][observed]
-    f = variances[observed]
+    f = pred[index[observed], 0, 0]
     return -0.5 * (f.size * _LOG_2PI + np.log(f).sum() + (innov**2 / f[:, None]).sum(axis=0))
 
 
@@ -245,9 +233,10 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     The log-density is ``log p(kept) - log p(conditioned)``, each term one
     exact Kalman-filter pass over the series in time order that skips the
     positions it does not observe (Jones 1980; Gardner, Harvey & Phillips
-    1980), started from the exact stationary state covariance.  With ``r =
-    max(p, q + 1)`` a pass costs ``O(m r**3)`` time and ``O(m r)`` memory:
-    its gain loop runs once for all rows, stops updating once the filter is
+    1980), started from the exact stationary state covariance.  Both passes,
+    and :func:`rgarma`, run the one filter :func:`_filter`.  With ``r = max(p,
+    q + 1)`` a pass costs ``O(m r**3)`` time and at most ``O(m r**2)``
+    memory: the filter runs once for all rows, stops updating once it is
     steady and crosses each unobserved run in one step, and the innovations
     of every row come from one banded triangular solve.  No ``m x m`` matrix
     is formed.  A non-positive prediction variance raises
@@ -292,6 +281,7 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     """
     if not tol > 0.0:
         raise InvalidParamError(f"tol must be > 0, got {tol!r}")
+    seed = _check_seed(seed)
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)
@@ -371,7 +361,7 @@ def _conditional_draw(dev, cond, model, z):
     then come from one unit lower-triangular banded solve in the unknowns
     ``y[0], v[0], y[1], v[1], ...``, with ``v[t]`` the filter innovation.
     """
-    transition, q_cov, p0 = model
+    transition, q_cov, _ = model
     r, m = transition.shape[0], cond.size
     phi = transition[:, 0]
     var = q_cov[0, 0]
@@ -402,60 +392,44 @@ def _conditional_draw(dev, cond, model, z):
             info[i] += exact.T @ omega @ exact
             lin[i] += exact.T @ (w - omega @ theta * dev[e])
 
-    diffs = np.empty((m, r))  # K[t] - phi
-    on_y = np.zeros((m, r))  # coefficients of y[t-k] and v[t-k] in row y[t]
-    on_v = np.zeros((m, r))
+    pred, gains, index = _filter(np.ones(m, dtype=bool), model)
+    diffs = np.subtract(gains, phi, out=gains)  # K[t] - phi
+    h = pred[index, :, 0]
+    g = np.zeros((m, r))
+    g[:, 0] = 1.0
     shift = np.zeros(m)
-    scale = np.zeros(m)
-    filt, steady = _filter_steps(p0, transition, q_cov, 0), None
-    for a in range(0, m, _CHUNK):
-        b = min(a + _CHUNK, m)
-        pred = np.empty((b - a, r, r))
-        t = a
-        while steady is None and t < b:
-            cov, gain, _, done = next(filt)
-            pred[t - a], diffs[t] = cov, gain - phi
-            steady = (cov, gain - phi) if done else None
-            t += 1
-        if t < b:
-            pred[t - a:], diffs[t:b] = steady
-        h = pred[:, :, 0].copy()
-        g = np.zeros((b - a, r))
-        g[:, 0] = 1.0
-        sel = np.flatnonzero(reach[a:b] & ~cond[a:b])
-        if sel.size:
-            omega, w = _cross(info[nxt[a + sel]], lin[nxt[a + sel]],
-                              powers[steps[a + sel]], covs[steps[a + sel]])
-            here = pred[sel]
-            h[sel] = np.linalg.solve(np.eye(r) + here @ omega, here[:, :, :1])[:, :, 0]
-            g[sel] -= (omega @ h[sel][:, :, None])[:, :, 0]
-            shift[a + sel] = np.einsum("ij,ij->i", h[sel], w)
-        free = np.flatnonzero(~cond[a:b])
-        bad = free[~(h[free, 0] > 0.0)]
-        if bad.size:
-            raise NotPositiveDefiniteError(
-                f"conditional variance {h[bad[0], 0]!r} at position {a + bad[0] + 1} is not positive"
-            )
-        scale[a + free] = np.sqrt(h[free, 0])
-        for k in range(1, r + 1):
-            on_y[a + free, k - 1] = g[free, :r - k + 1] @ phi[k - 1:]
-            on_v[a + free, k - 1] = np.einsum(
-                "ij,ij->i", g[free, :r - k + 1], diffs[np.maximum(a + free - k, 0), k - 1:]
-            )
+    sel = np.flatnonzero(reach & ~cond)
+    if sel.size:
+        omega, w = _cross(info[nxt[sel]], lin[nxt[sel]], powers[steps[sel]], covs[steps[sel]])
+        here = pred[index[sel]]
+        h[sel] = np.linalg.solve(np.eye(r) + here @ omega, here[:, :, :1])[:, :, 0]
+        g[sel] -= (omega @ h[sel][:, :, None])[:, :, 0]
+        shift[sel] = np.einsum("ij,ij->i", h[sel], w)
+    free = np.flatnonzero(~cond)
+    bad = free[~(h[free, 0] > 0.0)]
+    if bad.size:
+        raise NotPositiveDefiniteError(
+            f"conditional variance {h[bad[0], 0]!r} at position {bad[0] + 1} is not positive"
+        )
+    scale = np.sqrt(h[free, 0])
+    del h  # before the band, where memory peaks
 
     band = np.zeros((2 * r + 2, 2 * m), order="F")
     band[0] = 1.0
     band[1, 0::2] = -1.0
     for k in range(1, min(r, m - 1) + 1):
         span = 2 * (m - k)
-        band[2 * k, 0:span:2] = -on_y[k:, k - 1]
-        band[2 * k - 1, 1:span:2] = -on_v[k:, k - 1]
         band[2 * k, 1:span:2] = diffs[:m - k, k - 1]
         band[2 * k + 1, 0:span:2] = phi[k - 1]
+        # Coefficients of y[t-k] and v[t-k] in row y[t], for free t >= k.
+        on_y = g[free, :r - k + 1] @ phi[k - 1:]
+        on_v = np.einsum("ij,ij->i", g[free, :r - k + 1], diffs[np.maximum(free - k, 0), k - 1:])
+        past = free >= k
+        band[2 * k, 2 * (free[past] - k)] = -on_y[past]
+        band[2 * k - 1, 2 * (free[past] - k) + 1] = -on_v[past]
     rhs = np.zeros((2 * m, z.shape[0]), order="F")
     rhs[2 * cond_idx] = dev[cond_idx, None]
-    free = np.flatnonzero(~cond)
-    rhs[2 * free] = shift[free, None] + scale[free, None] * z.T
+    rhs[2 * free] = shift[free, None] + scale[:, None] * z.T
     return dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=True)[0][0::2].T
 
 
@@ -470,13 +444,13 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     Notes
     -----
     Each free position is drawn in index order from its law given every
-    earlier position and the later conditioned values: the exact Kalman
-    filter of :func:`dgarma`, observing every position, combined with a
-    backward information filter over the conditioned values (the two-filter
-    form of Fraser & Potter 1969).  That sequence is the index-order
-    Cholesky factor of the conditional covariance, so a seed gives the same
-    draws as :func:`garma.mvn.sample` of the conditional moments, up to
-    rounding: ``default_rng(seed).standard_normal((n, n_free))`` supplies
+    earlier position and the later conditioned values: one pass of the exact
+    Kalman filter that :func:`dgarma` runs, here observing every position,
+    combined with a backward information filter over the conditioned values
+    (the two-filter form of Fraser & Potter 1969).  That sequence is the
+    index-order Cholesky factor of the conditional covariance, so a seed gives
+    the same draws as :func:`garma.mvn.sample` of the conditional moments, up
+    to rounding: ``default_rng(seed).standard_normal((n, n_free))`` supplies
     one column per free position.  The state-space form uses the invertible
     moving average with the same autocovariances, which keeps the backward
     information bounded.  With ``r = max(p, q + 1)`` a call costs ``O(m
@@ -489,6 +463,7 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidParamError(f"m must be a positive integer, got {m!r}")
     n, m = int(n), int(m)
+    seed = _check_seed(seed)
     moduli = validate_stationary(spec)
     pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)
     if len(pattern) != m:

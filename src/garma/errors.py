@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types and the seed check shared by the package."""
+
+import numpy as np
 
 
 class GarmaError(Exception):
@@ -115,3 +117,20 @@ class NumericalAdjustmentWarning(GarmaWarning):
                 "to make it positive definite"
             )
         super().__init__(message)
+
+
+def _check_seed(seed):
+    """``seed`` for numpy's generators: ``None`` and numpy's seed objects pass
+    unchanged, and a number, alone or in a list or tuple, must be a
+    non-negative integer (an integral float becomes an ``int``), else
+    :class:`InvalidParamError`."""
+    if seed is None or isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
+                                         np.random.Generator)):
+        return seed
+    entries = seed if isinstance(seed, (list, tuple)) else [seed]
+    ints = [int(v) if isinstance(v, (int, np.integer))
+            or (isinstance(v, (float, np.floating)) and float(v).is_integer()) else -1
+            for v in entries]
+    if min(ints, default=0) < 0:
+        raise InvalidParamError(f"seed must be a non-negative integer, got {seed!r}")
+    return ints if entries is seed else ints[0]

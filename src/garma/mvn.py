@@ -27,6 +27,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalAdjustmentWarning,
     ToleranceNotReachedError,
+    _check_seed,
 )
 
 __all__ = [
@@ -503,6 +504,7 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
         raise InvalidParamError("upper bounds must not be NaN")
     if not tol > 0.0:
         raise InvalidParamError(f"tol must be > 0, got {tol!r}")
+    seed = _check_seed(seed)
     if np.any(u == -np.inf):
         return CdfResult(value=0.0, error_estimate=0.0, method="closed_form_1d")
     keep = np.nonzero(np.isfinite(u))[0]
@@ -522,4 +524,4 @@ def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise InvalidParamError(f"count must be a non-negative integer, got {count!r}")
-    return _sample(p.mean, cholesky(p.cov), int(count), seed)
+    return _sample(p.mean, cholesky(p.cov), int(count), _check_seed(seed))

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     InvalidParamError,
     ZeroVarianceError,
+    _check_seed,
 )
 
 __all__ = ["IntensityVector", "SpectrumTestResult", "dft", "intensity", "spectrum_test"]
@@ -258,6 +259,7 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     seed : int, optional
         Seed for the permutation stream.  Omitted, one is drawn from OS
         entropy; the seed actually used is recorded on the result either way.
+        A negative or non-integral seed raises :class:`InvalidParamError`.
     progress : bool or callable
         True writes a progress line to stderr; a callable receives
         ``(done, total)`` after each internal chunk; False is silent.
@@ -278,6 +280,7 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise InvalidParamError(f"workers must be a positive integer, got {workers!r}")
     sims = int(sims)
+    seed = _check_seed(seed)
 
     observed = intensity(arr, centred=True, scaled=True, nyquist=True)
     statistic = float(np.max(observed.values[1:]))

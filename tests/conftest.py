@@ -7,16 +7,17 @@ products of a filter impulse response, and the conditional-moments oracle
 partitions an explicitly inverted covariance.  The pattern log-density
 oracles are scipy's dense multivariate normal on that autocovariance's
 Toeplitz matrix and, for AR(1), the closed-form Markov likelihood; the AR(1)
-sampler oracle is the scalar Markov bridge.  The bivariate normal CDF oracle
-integrates the density over the correlation (Plackett's identity) instead of
-using the library's quadrature rule.
+sampler oracle is the scalar Markov bridge.  The Kalman-filter oracle steps
+every position one at a time from a Lyapunov-solved start, with no shortcut.
+The bivariate normal CDF oracle integrates the density over the correlation
+(Plackett's identity) instead of using the library's quadrature rule.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.signal import lfilter
 from scipy.stats import multivariate_normal
 
@@ -89,6 +90,37 @@ def ar1_markov_log_density(phi, error_var, mean, x, observed):
     terms = np.log(2.0 * np.pi * np.concatenate(([gamma0], var)))
     terms += np.concatenate(([dev[0] ** 2 / gamma0], resid**2 / var))
     return -0.5 * float(terms.sum())
+
+
+def kalman_reference(spec, observed):
+    """Prediction variances ``F[t]`` and predictive gains ``K[t] = T P[t]
+    e1 / F[t]`` of the Kalman filter for the positions marked in
+    ``observed``, on Harvey's form ``a[t+1] = T a[t] + R e[t+1]``, ``y[t] =
+    a[t][0]`` with state size ``r = max(p, q + 1)``.
+
+    ``T`` and ``Q = error_var R R'`` come from the coefficients and the
+    stationary start from scipy's discrete Lyapunov solver.  Every position
+    is stepped on its own, an unobserved one by ``P <- T P T' + Q`` (``F``
+    NaN, ``K`` zero), with no steady-state stop."""
+    p, q = len(spec.ar), len(spec.ma)
+    r = max(p, q + 1)
+    transition = np.eye(r, k=1)
+    transition[:p, 0] = spec.ar
+    loading = np.zeros(r)
+    loading[0] = 1.0
+    loading[1:q + 1] = spec.ma
+    q_cov = spec.error_var * np.outer(loading, loading)
+    cov = solve_discrete_lyapunov(transition, q_cov)
+    variances = np.full(len(observed), np.nan)
+    gains = np.zeros((len(observed), r))
+    for t, seen in enumerate(observed):
+        ahead = transition @ cov @ transition.T + q_cov
+        if seen:
+            variances[t] = cov[0, 0]
+            gains[t] = transition @ cov[:, 0] / cov[0, 0]
+            ahead -= variances[t] * np.outer(gains[t], gains[t])
+        cov = ahead
+    return variances, gains
 
 
 def ar1_bridge_sample(phi, error_var, mean, condvals, n, seed):

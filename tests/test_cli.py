@@ -326,6 +326,12 @@ class TestSample:
         assert code == 1
         assert "--seed" in err
 
+    def test_negative_seed_is_typed_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "1", "--m", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: seed must be a non-negative integer, got -1"
+
     def test_seeded_rerun_byte_identical(self, capsys):
         args = ("sample", "--n", "3", "--m", "4", "--ar", "0.5", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)

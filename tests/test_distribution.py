@@ -26,12 +26,14 @@ from garma import (
     NonStationaryError,
     NotPositiveDefiniteError,
     SharedRootWarning,
+    as_series_matrix,
     autocovariance,
     build_pattern,
     dgarma,
     mvn,
     pgarma,
     rgarma,
+    spectrum_test,
     validate_stationary,
     variance_matrix,
 )
@@ -42,6 +44,7 @@ from conftest import (
     ar1_markov_log_density,
     brute_conditional,
     dense_pattern_log_density,
+    kalman_reference,
     random_stationary_spec,
 )
 
@@ -619,6 +622,36 @@ class TestKalmanEngine:
         want = dense_pattern_log_density(spec, x, missing, flags)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 120),
+        shape=st.sampled_from(["mixed", "leading", "trailing", "long_gap"]),
+        flip_ma=st.booleans(),
+    )
+    def test_filter_against_step_by_step_reference(self, seed, m, shape, flip_ma):
+        rng = np.random.default_rng(seed)
+        spec = random_stationary_spec(rng, p_max=3, q_max=3, min_root=1.01)
+        if flip_ma:
+            spec = _invert_ma(spec)
+        observed = rng.random(m) < 0.7
+        cut = int(rng.integers(0, m))
+        if shape == "leading":
+            observed[:cut] = False
+        elif shape == "trailing":
+            observed[m - cut:] = False
+        elif shape == "long_gap":
+            start = int(rng.integers(0, m))
+            observed[start:start + max(cut, m // 2)] = False
+        observed[rng.integers(m)] = True
+
+        model = distribution._state_space(spec, validate_stationary(spec))
+        pred, gains, index = distribution._filter(observed, model)
+        want_f, want_k = kalman_reference(spec, observed)
+        got_f = pred[index[observed], 0, 0]
+        assert np.all(np.abs(got_f - want_f[observed]) <= 1e-10 * want_f[observed])
+        assert np.all(np.abs(gains - want_k) <= 1e-10 * np.maximum(1.0, np.abs(want_k)))
+
     def test_near_unit_ar1_matches_markov_likelihood(self):
         phi = 0.99999
         rng = np.random.default_rng(7)
@@ -687,7 +720,7 @@ class TestSequentialSampler:
     Markov bridge and the dense sampler of the conditional moments."""
 
     @pytest.mark.parametrize("share", [0.0, 0.1, 0.5])
-    @pytest.mark.parametrize("m", [50, 2000])
+    @pytest.mark.parametrize("m", [50, 2000, 5000])
     @pytest.mark.parametrize("phi", [0.5, 0.99, 0.999, 0.9999])
     def test_against_ar1_bridge(self, phi, m, share):
         mean, error_var = 1.5, 2.0
@@ -846,3 +879,60 @@ class TestRootsFoundOnce:
         assert solved.count((-0.8, 0.2)) == 1
         with pytest.warns(SharedRootWarning):
             call(self.SHARED)
+
+
+class TestNoRows:
+    """A matrix with no series rows is a typed shape error, not an IndexError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            as_series_matrix,
+            lambda x: dgarma(x, AR1),
+            lambda x: pgarma(x, AR1),
+        ],
+    )
+    def test_zero_rows_rejected(self, call):
+        with pytest.raises(DimensionMismatchError, match="at least one row"):
+            call(np.zeros((0, 3)))
+
+
+# Each seeded entry point, returning an array that its seed determines.
+SEEDED = {
+    "rgarma": lambda seed: rgarma(2, 5, AR1, seed=seed),
+    "pgarma": lambda seed: pgarma([[0.1, 0.2, -0.3]], AR1, seed=seed),
+    "mvn_cdf": lambda seed: np.array(
+        mvn.mvn_cdf([0.1, 0.2, -0.3], toeplitz_params(AR1, 3), seed=seed).value
+    ),
+    "sample": lambda seed: mvn.sample(toeplitz_params(AR1, 3), 2, seed=seed),
+    "spectrum_test": lambda seed: spectrum_test(
+        np.arange(8.0) % 3, sims=20, seed=seed, progress=False
+    ).null_sample,
+}
+
+
+class TestSeedRule:
+    """One typed rule for seeds across every seeded entry point."""
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 1.7, -2.0, float("nan"), "7", [1, -2]])
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_bad_seed_is_typed(self, entry, seed):
+        with pytest.raises(InvalidParamError, match="seed must be a non-negative integer"):
+            SEEDED[entry](seed)
+
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_integer_seeds_keep_their_streams(self, entry):
+        call = SEEDED[entry]
+        want = call(7)
+        for seed in (np.int64(7), np.uint8(7), 7.0):
+            assert np.array_equal(call(seed), want)
+        assert np.all(np.isfinite(call(None)))
+        assert np.all(np.isfinite(call(0)))
+
+    @pytest.mark.parametrize("entry", ["rgarma", "mvn_cdf", "sample"])
+    def test_numpy_seed_objects_still_accepted(self, entry):
+        call = SEEDED[entry]
+        want = call(7)
+        assert np.array_equal(call(np.random.SeedSequence(7)), want)
+        assert np.array_equal(call(np.random.default_rng(7)), want)
+        assert np.array_equal(call([7, 8]), call(np.random.SeedSequence([7, 8])))
