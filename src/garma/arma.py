@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
 
 from .conditioning import _require_free
 from .errors import (
@@ -488,8 +488,15 @@ def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
 
 def _covariance(n, spec, moduli):
     """Toeplitz covariance of ``n`` consecutive observations of a validated
-    model (see :func:`_acvf`)."""
-    return toeplitz(_acvf(spec, n - 1, moduli))
+    model (see :func:`_acvf`).
+
+    Row ``i`` is the ``n`` entries of ``gamma(n-1) .. gamma(1), gamma(0) ..
+    gamma(n-1)`` from entry ``n - 1 - i`` on: a strided view of that vector,
+    copied out, so the matrix costs one ``n x n`` copy and no index arrays."""
+    gamma = _acvf(spec, n - 1, moduli)
+    mirrored = np.concatenate((gamma[::-1], gamma[1:]))
+    step = mirrored.strides[0]
+    return as_strided(mirrored[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
 def acf_vector(n: int, spec: ArmaSpec, corr: bool = False) -> AcvSequence:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
+# scipy is imported inside the functions that use it (see garma.mvn).
 from .arma import (
     ArmaSpec,
     _acvf,
@@ -192,6 +192,8 @@ def _filter_log_density(dev, observed, model):
     for all rows (at an unobserved ``t``, ``v[t]`` is minus the prediction),
     solved by LAPACK's triangular banded solver.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     pred, gains, index = _filter(observed, model)
     phi = model[0][:, 0]
     band = np.empty((phi.size + 1, observed.size))
@@ -270,18 +272,26 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     ``tol`` and ``seed`` configure the quasi-Monte Carlo CDF used when three
     or more free positions remain; the default seed is a fixed documented
     constant, so repeated calls agree.  A call is randomised once: every row
-    is estimated on the same scrambled Sobol point sets, drawn from
-    ``SeedSequence(seed, spawn_key=(0,))``, so every row's value equals
-    ``mvn_cdf(row, ..., seed=SeedSequence(seed, spawn_key=(0,)))`` and
-    identical rows get identical values.  Each row's estimate is still
-    unbiased with its own error estimate within ``tol``.  ``tol`` must be
-    positive even when no row needs it.  An all-missing row raises
-    :class:`AllMarginalisedError`; the probability is 1 by convention only
-    when every kept position is conditioned.
+    is estimated on the same scrambled Sobol point sets, drawn from the first
+    child of the seed's ``SeedSequence`` (``SeedSequence(seed,
+    spawn_key=(0,))`` for an integer or a list of integers; a given
+    ``SeedSequence`` is not advanced), so every row's value equals
+    ``mvn_cdf(row, ..., seed=<that child>)`` and identical rows get identical
+    values.  A ``Generator`` or ``BitGenerator`` seed is consumed instead, so
+    a second call with the same object gives other estimates.  Each row's
+    estimate is still unbiased with its own error estimate within ``tol``.
+    ``tol`` must be positive even when no row needs it.  An all-missing row
+    raises :class:`AllMarginalisedError`; the probability is 1 by convention
+    only when every kept position is conditioned.
     """
     if not tol > 0.0:
         raise InvalidParamError(f"tol must be > 0, got {tol!r}")
     seed = _check_seed(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0),
+                                      pool_size=seed.pool_size)
+    elif isinstance(seed, (int, list)):
+        seed = np.random.SeedSequence(seed, spawn_key=(0,))
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)
@@ -296,7 +306,7 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
         rows[:, free_idx] - cond_means,
         cond_cov,
         tol,
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,)) if seed is not None else None,
+        seed,
         _DEFAULT_MAX_POINTS,
     )
     out = np.array([r.value for r in results])
@@ -361,6 +371,8 @@ def _conditional_draw(dev, cond, model, z):
     then come from one unit lower-triangular banded solve in the unknowns
     ``y[0], v[0], y[1], v[1], ...``, with ``v[t]`` the filter innovation.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     transition, q_cov, _ = model
     r, m = transition.shape[0], cond.size
     phi = transition[:, 0]

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
 
 from .conditioning import CONDITIONED, FREE, _require_free
 from .errors import (
@@ -41,6 +39,14 @@ __all__ = [
     "mvn_cdf",
     "sample",
 ]
+
+# scipy is imported inside the functions that use it, so `import garma`
+# loads numpy alone: scipy.linalg or scipy.special takes longer to import than
+# a CLI command like acf, intensity or spectrum-test takes to run, and those
+# use neither.  scipy.linalg serves the triangular solves here and the banded
+# ones of dgarma and rgarma, scipy.special the normal CDF and its inverse,
+# scipy.stats only the quasi-Monte Carlo path.  Importing a module that is
+# already loaded costs about a microsecond.
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -183,6 +189,8 @@ def log_density(x, params: GaussianParams):
         raise DimensionMismatchError(
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
+    from scipy.linalg import solve_triangular
+
     factor = cholesky(p.cov)
     z = solve_triangular(factor, (rows - p.mean).T, lower=True)
     quad = np.einsum("ij,ij->j", z, z)
@@ -214,6 +222,8 @@ def _free_moments(mean, cov, state, value_rows):
         if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
             return free_idx, means, cov
         return free_idx, means, cov[np.ix_(free_idx, free_idx)]
+    from scipy.linalg import solve_triangular
+
     factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
     cross = solve_triangular(factor, cov[np.ix_(cond_idx, free_idx)], lower=True)
     cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
@@ -271,6 +281,8 @@ _GL_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
 
 
 def _phid(z):
+    from scipy.special import ndtr
+
     return float(ndtr(z))
 
 
@@ -355,6 +367,8 @@ def _ordered_cholesky(corr, upper):
     """Cholesky factor with variables reordered so that the most sharply
     truncated coordinates come first, which concentrates the integrand's
     variation in the leading quasi-Monte Carlo dimensions."""
+    from scipy.special import ndtr
+
     n = len(upper)
     c = np.array(corr, dtype=float)
     u = np.array(upper, dtype=float)
@@ -389,6 +403,8 @@ def _ordered_cholesky(corr, upper):
 
 def _sov_mean(ell, u, pts):
     """Average of the separation-of-variables integrand over unit-cube points."""
+    from scipy.special import ndtr, ndtri
+
     n = len(u)
     e = np.full(pts.shape[0], float(ndtr(u[0] / ell[0, 0])))
     pv = e.copy()
@@ -411,8 +427,6 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     reached by all rows in the same round; the first row still above ``tol``
     then raises.
     """
-    # Imported here: scipy.stats takes longer to import than everything
-    # else garma loads together, and only this path needs it.
     from scipy.stats import qmc
 
     factors = [_ordered_cholesky(corr, row) for row in z]
@@ -459,6 +473,8 @@ def _rectangle_cdf(dev, cov, tol, seed, max_points):
     One dimension is the normal CDF, two a Gauss-Legendre quadrature, three
     or more quasi-Monte Carlo on point sets shared by all rows.
     """
+    from scipy.special import ndtr
+
     var = np.diag(cov)
     if not np.all(var > 0.0):
         raise NotPositiveDefiniteError("covariance has a non-positive diagonal entry")

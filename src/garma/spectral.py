@@ -256,10 +256,13 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
         One series of length n >= 3 with at least two distinct values.
     sims : int
         Number of permutations (>= 1).
-    seed : int, optional
-        Seed for the permutation stream.  Omitted, one is drawn from OS
-        entropy; the seed actually used is recorded on the result either way.
-        A negative or non-integral seed raises :class:`InvalidParamError`.
+    seed : int or numpy seed, optional
+        Seed for the permutation stream.  The int actually used is recorded
+        on the result, so ``seed=result.seed`` repeats the run.  ``None`` (OS
+        entropy), a list of integers, a ``SeedSequence``, a ``BitGenerator``
+        or a ``Generator`` (which advances) gives that int as
+        ``default_rng(seed).integers(2**63)``.  A negative or non-integral
+        seed raises :class:`InvalidParamError`.
     progress : bool or callable
         True writes a progress line to stderr; a callable receives
         ``(done, total)`` after each internal chunk; False is silent.
@@ -285,9 +288,8 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     observed = intensity(arr, centred=True, scaled=True, nyquist=True)
     statistic = float(np.max(observed.values[1:]))
 
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (1 << 63))
-    seed = int(seed)
+    if not isinstance(seed, int):
+        seed = int(np.random.default_rng(seed).integers(1 << 63))
 
     standardized, _ = _standardize(np.atleast_2d(arr), centred=True, scaled=True)
     values = standardized[0]

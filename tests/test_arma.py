@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 from garma import (
@@ -32,6 +33,7 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
+from garma import arma
 from conftest import acvf_oracle, random_stationary_spec, simulate_series
 
 GARMA22 = ArmaSpec(ar=(0.8, -0.2), ma=(0.6, 0.3))
@@ -410,6 +412,17 @@ class TestVarianceMatrix:
         for i in range(n):
             for j in range(n):
                 assert vm.entries[i, j] == acv.values[abs(i - j)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 200))
+    def test_covariance_matches_scipy_toeplitz_bit_for_bit(self, seed, n):
+        spec = random_stationary_spec(np.random.default_rng(seed))
+        moduli = validate_stationary(spec)
+        got = arma._covariance(n, spec, moduli)
+        want = toeplitz(arma._acvf(spec, n - 1, moduli))
+        assert got.shape == want.shape == (n, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_correlation_unit_diagonal(self):
         vm = variance_matrix(5, GARMA22, corr=True)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -695,24 +696,39 @@ class TestKalmanEngine:
         with pytest.raises(NotPositiveDefiniteError):
             distribution._filter_log_density(np.zeros((1, 4)), np.ones(4, dtype=bool), model)
 
-    def test_import_does_not_load_scipy_signal(self):
-        code = "import sys, garma; print('scipy.signal' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    def test_import_and_non_cdf_command_do_not_load_scipy_stats(self, tmp_path):
+        # scipy loads on first use only: none for the import and the commands
+        # that never call it, scipy.linalg alone for the filter and the Schur
+        # step, scipy.stats only for a quasi-Monte Carlo CDF.
+        series = tmp_path / "series.csv"
+        series.write_text("0.3,-1.2,0.8,0.1,-0.4,1.5,-0.2,0.6\n")
+        code = textwrap.dedent("""
+            import sys, garma, garma.cli
+            def scipy_loaded():
+                return sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'}
+                              & {'scipy', 'scipy.linalg', 'scipy.special', 'scipy.stats'})
+            seen = [scipy_loaded()]
+            for argv in (['acf', '--n', '8', '--ar', '0.5'],
+                         ['intensity', '--input', sys.argv[1]],
+                         ['spectrum-test', '--input', sys.argv[1], '--sims', '50',
+                          '--seed', '1', '--no-progress']):
+                assert garma.cli.main(argv) == 0
+                seen.append(scipy_loaded())
+            spec = garma.ArmaSpec(ar=(0.5,), ma=(0.3,))
+            garma.dgarma([0.2, -0.1, 0.4, 0.0], spec, cond=[True, False, False, False])
+            garma.rgarma(2, 6, spec, condvals=[0.1, None, None, None, -0.3, None], seed=1)
+            pattern = garma.build_pattern(condvals=[1.0, None, None, 0.5])
+            garma.variance_matrix(4, spec, cond=pattern)
+            seen.append(scipy_loaded())
+            p = garma.pgarma([0.2, -0.1, 0.4], garma.ArmaSpec(ar=(0.5,)))[0]
+            print(seen, 0.0 < p < 1.0)
+        """)
+        result = subprocess.run([sys.executable, "-c", code, str(series)],
+                                capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
-
-    def test_import_and_non_cdf_command_do_not_load_scipy_stats(self):
-        code = (
-            "import sys, garma, garma.cli\n"
-            "after_import = 'scipy.stats' in sys.modules\n"
-            "garma.cli.main(['acf', '--n', '8', '--ar', '0.5'])\n"
-            "after_acf = 'scipy.stats' in sys.modules\n"
-            "p = garma.pgarma([0.2, -0.1, 0.4], garma.ArmaSpec(ar=(0.5,)))[0]\n"
-            "print(after_import, after_acf, 0.0 < p < 1.0)"
+        assert result.stdout.splitlines()[-1] == (
+            "[[], [], [], [], ['scipy', 'scipy.linalg']] True"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False False True"
 
 
 class TestSequentialSampler:
@@ -936,3 +952,26 @@ class TestSeedRule:
         assert np.array_equal(call(np.random.SeedSequence(7)), want)
         assert np.array_equal(call(np.random.default_rng(7)), want)
         assert np.array_equal(call([7, 8]), call(np.random.SeedSequence([7, 8])))
+
+    def test_pgarma_seed_objects(self):
+        call = SEEDED["pgarma"]
+        want = call(7)
+        ss = np.random.SeedSequence(7)
+        assert np.array_equal(call(ss), want)
+        assert ss.n_children_spawned == 0
+        assert np.array_equal(call([7, 8]), call(np.random.SeedSequence([7, 8])))
+        rng = np.random.default_rng(7)
+        first = call(rng)
+        assert np.abs(first - want).max() < 1e-4
+        assert np.array_equal(call(np.random.default_rng(7)), first)
+        assert not np.array_equal(call(rng), first)  # a generator is consumed
+
+    @pytest.mark.parametrize("make", [np.random.SeedSequence, np.random.default_rng,
+                                      lambda s: [s, 8]], ids=["SeedSequence", "Generator", "list"])
+    def test_spectrum_test_records_an_int_seed(self, make):
+        x = np.arange(8.0) % 3
+        result = spectrum_test(x, sims=20, seed=make(7), progress=False)
+        assert type(result.seed) is int
+        assert result.seed == int(np.random.default_rng(make(7)).integers(1 << 63))
+        again = spectrum_test(x, sims=20, seed=result.seed, progress=False)
+        assert np.array_equal(again.null_sample, result.null_sample)
