@@ -30,6 +30,7 @@ from .errors import (
     NearUnitRootWarning,
     NonStationaryError,
     SharedRootWarning,
+    _check_tol,
 )
 from .mvn import _cov_to_corr, _free_moments
 
@@ -321,8 +322,7 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     with ``M(r)`` bounding the transfer function on the circle of radius
     ``r``, so the tail beyond ``K`` is at most ``M(r) * r**-K / (r - 1)``.
     """
-    if not (isinstance(tol, (int, float)) and tol > 0.0):
-        raise InvalidParamError(f"tol must be > 0, got {tol!r}")
+    tol = _check_tol("tol", tol)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
 
@@ -446,8 +446,7 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     """
     if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
         raise InvalidParamError(f"max_lag must be a non-negative integer, got {max_lag!r}")
-    if not 0.0 < rel_tol < math.inf:
-        raise InvalidParamError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    rel_tol = _check_tol("rel_tol", rel_tol)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
     return AcvSequence(values=_acvf(spec, int(max_lag), moduli, rel_tol), is_correlation=False)

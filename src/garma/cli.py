@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 computation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 import warnings
 
@@ -44,10 +46,9 @@ def _fmt_value(v) -> str:
     return format(float(v), ".17g")
 
 
-def _write_csv(rows, stream):
-    for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-        stream.write(",".join(_fmt_value(v) for v in row))
-        stream.write("\n")
+def _csv_text(rows):
+    return "".join(",".join(_fmt_value(v) for v in row) + "\n"
+                   for row in np.atleast_2d(np.asarray(rows, dtype=float)))
 
 
 def _parse_float_token(token, where):
@@ -85,13 +86,18 @@ def _parse_list(text, flag):
     return [ _parse_float_token(tok, flag) for tok in text.split(",") if tok.strip() != "" ]
 
 
-def _parse_condvals(text, flag="--condvals"):
+def _parse_condvals(text, length, length_flag):
+    """--condvals as a vector of the ``length`` that ``length_flag`` sets."""
     if text.startswith("@"):
-        rows = _read_csv(text[1:], flag)
+        rows = _read_csv(text[1:], "--condvals")
         if rows.shape[0] != 1:
-            raise UsageError(f"{flag}: {text[1:]} must contain exactly one row")
-        return rows[0]
-    return np.asarray(_parse_list(text, flag), dtype=float)
+            raise UsageError(f"--condvals: {text[1:]} must contain exactly one row")
+        values = rows[0]
+    else:
+        values = np.asarray(_parse_list(text, "--condvals"), dtype=float)
+    if len(values) != length:
+        raise UsageError(f"--condvals has length {len(values)}, {length_flag} is {length}")
+    return values
 
 
 def _parse_cond(text, m):
@@ -132,17 +138,26 @@ def _spec_from_args(args) -> ArmaSpec:
     return ArmaSpec(ar=ar, ma=ma, mean=args.mean, error_var=args.errorvar)
 
 
-def _effective_seed(args, needed_reason=None):
-    if args.seed is not None:
+def _effective_seed(args, needed_reason):
+    if args.seed is not None or args.nondeterministic:
         return args.seed
-    if args.nondeterministic:
-        return None
-    if needed_reason:
-        raise UsageError(
-            f"--seed is required {needed_reason} "
-            "(pass --nondeterministic to opt out of reproducibility)"
-        )
-    return None
+    raise UsageError(
+        f"--seed is required {needed_reason} "
+        "(pass --nondeterministic to opt out of reproducibility)"
+    )
+
+
+def _positive(parse):
+    """An argparse type: ``parse``, then require ``0 < value < inf``.  Its name
+    stays ``parse``'s, so argparse still reports "invalid int value"."""
+    def check(text):
+        value = parse(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+
+    check.__name__ = parse.__name__
+    return check
 
 
 def _add_model_flags(sub):
@@ -155,7 +170,21 @@ def _add_model_flags(sub):
                      help="innovation variance (> 0)")
 
 
-def _add_io_flags(sub, plot=False):
+def _add_cond_flags(sub, log_help):
+    sub.add_argument("--cond", metavar="I or I:V,...",
+                     help="1-based positions to condition on (optionally pinned to V)")
+    sub.add_argument("--log", action="store_true", help=log_help)
+
+
+def _add_seed_flags(sub, seed_help):
+    sub.add_argument("--seed", type=int, help=seed_help)
+    sub.add_argument("--nondeterministic", action="store_true",
+                     help="allow running without --seed")
+
+
+def _add_io_flags(sub, handler, plot=False):
+    """Bind the command's ``handler`` and add the output flags every command has."""
+    sub.set_defaults(handler=handler)
     sub.add_argument("--output", metavar="PATH", help="write results here instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
@@ -170,51 +199,45 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     acf = subs.add_parser("acf", help="autocovariance or autocorrelation at lags 0..n-1")
-    acf.add_argument("--n", type=int, required=True, help="number of lags (>= 1)")
+    acf.add_argument("--n", type=_positive(int), required=True, help="number of lags (>= 1)")
     acf.add_argument("--corr", action="store_true", help="return correlations")
     _add_model_flags(acf)
-    _add_io_flags(acf)
+    _add_io_flags(acf, _cmd_acf)
 
     var = subs.add_parser("var", help="(conditional) variance or correlation matrix")
-    var.add_argument("--n", type=int, required=True, help="number of observations (>= 1)")
+    var.add_argument("--n", type=_positive(int), required=True,
+                     help="number of observations (>= 1)")
     var.add_argument("--corr", action="store_true", help="return correlations")
     var.add_argument("--condvals", metavar="V1,NA,V3,... or @FILE.csv",
                      help="conditioning pattern: numbers condition, NA stays free")
     _add_model_flags(var)
-    _add_io_flags(var)
+    _add_io_flags(var, _cmd_var)
 
     density = subs.add_parser("density", help="density of each series row")
     density.add_argument("--input", required=True, metavar="FILE.csv",
                          help="series rows; NA marginalises a position")
-    density.add_argument("--cond", metavar="I or I:V,...",
-                         help="1-based positions to condition on (optionally pinned to V)")
-    density.add_argument("--log", action="store_true", help="return log-densities")
+    _add_cond_flags(density, "return log-densities")
     _add_model_flags(density)
-    _add_io_flags(density)
+    _add_io_flags(density, _cmd_density)
 
     cdf = subs.add_parser("cdf", help="P(free positions <= row values)")
     cdf.add_argument("--input", required=True, metavar="FILE.csv")
-    cdf.add_argument("--cond", metavar="I or I:V,...",
-                     help="1-based positions to condition on (optionally pinned to V)")
-    cdf.add_argument("--log", action="store_true", help="return log-probabilities")
-    cdf.add_argument("--tol", type=float, default=1e-5,
+    _add_cond_flags(cdf, "return log-probabilities")
+    cdf.add_argument("--tol", type=_positive(float), default=1e-5,
                      help="standard-error target for the monte carlo CDF (default 1e-5)")
-    cdf.add_argument("--seed", type=int, help="seed (required when 3+ free positions remain)")
-    cdf.add_argument("--nondeterministic", action="store_true",
-                     help="allow running without --seed")
+    _add_seed_flags(cdf, "seed (required when 3+ free positions remain)")
     _add_model_flags(cdf)
-    _add_io_flags(cdf)
+    _add_io_flags(cdf, _cmd_cdf)
 
     smp = subs.add_parser("sample", help="draw series rows from the model")
-    smp.add_argument("--n", type=int, required=True, help="number of series to draw")
-    smp.add_argument("--m", type=int, required=True, help="length of each series")
+    smp.add_argument("--n", type=_positive(int), required=True,
+                     help="number of series to draw")
+    smp.add_argument("--m", type=_positive(int), required=True, help="length of each series")
     smp.add_argument("--condvals", metavar="V1,NA,V3,... or @FILE.csv",
                      help="pin positions with numbers; NA positions are drawn")
-    smp.add_argument("--seed", type=int, help="seed (required unless --nondeterministic)")
-    smp.add_argument("--nondeterministic", action="store_true",
-                     help="allow running without --seed")
+    _add_seed_flags(smp, "seed (required unless --nondeterministic)")
     _add_model_flags(smp)
-    _add_io_flags(smp, plot=True)
+    _add_io_flags(smp, _cmd_sample, plot=True)
 
     inten = subs.add_parser("intensity", help="Fourier intensity of each series row")
     inten.add_argument("--input", required=True, metavar="FILE.csv")
@@ -224,29 +247,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale to unit average square (default on)")
     inten.add_argument("--nyquist", action=argparse.BooleanOptionalAction, default=True,
                        help="truncate real input beyond the folding frequency (default on)")
-    _add_io_flags(inten, plot=True)
+    _add_io_flags(inten, _cmd_intensity, plot=True)
 
     stest = subs.add_parser("spectrum-test",
                             help="permutation test for a periodic signal")
     stest.add_argument("--input", required=True, metavar="FILE.csv",
                        help="a single series row")
-    stest.add_argument("--sims", type=int, default=1_000_000,
+    stest.add_argument("--sims", type=_positive(int), default=1_000_000,
                        help="number of permutations (default 1000000)")
-    stest.add_argument("--seed", type=int, help="seed (required unless --nondeterministic)")
-    stest.add_argument("--nondeterministic", action="store_true",
-                       help="allow running without --seed")
-    stest.add_argument("--workers", type=int, default=1,
+    _add_seed_flags(stest, "seed (required unless --nondeterministic)")
+    stest.add_argument("--workers", type=_positive(int), default=1,
                        help="worker threads; does not change the result")
     stest.add_argument("--progress", action=argparse.BooleanOptionalAction, default=True,
                        help="progress line on stderr (default on)")
-    _add_io_flags(stest, plot=True)
+    _add_io_flags(stest, _cmd_spectrum_test, plot=True)
 
     return parser
 
 
 def _cmd_acf(args):
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     spec = _spec_from_args(args)
     acv = acf_vector(args.n, spec, corr=args.corr)
     return {
@@ -256,20 +275,14 @@ def _cmd_acf(args):
             "values": list(acv.values),
             "correlation": bool(acv.is_correlation),
         },
-        "plot": None,
     }
 
 
 def _cmd_var(args):
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     spec = _spec_from_args(args)
     cond = None
     if args.condvals:
-        vals = _parse_condvals(args.condvals)
-        if len(vals) != args.n:
-            raise UsageError(f"--condvals has length {len(vals)}, --n is {args.n}")
-        cond = build_pattern(condvals=vals)
+        cond = build_pattern(condvals=_parse_condvals(args.condvals, args.n, "--n"))
     vm = variance_matrix(args.n, spec, cond=cond, corr=args.corr)
     return {
         "csv": vm.entries,
@@ -278,11 +291,12 @@ def _cmd_var(args):
             "entries": [list(row) for row in vm.entries],
             "correlation": bool(args.corr),
         },
-        "plot": None,
     }
 
 
-def _apply_cond(args, rows):
+def _input_rows(args):
+    """The --input rows with any --cond values pinned, and the --cond flags."""
+    rows = _read_csv(args.input, "--input")
     if not args.cond:
         return rows, None
     flags, overrides = _parse_cond(args.cond, rows.shape[1])
@@ -293,54 +307,40 @@ def _apply_cond(args, rows):
     return rows, flags
 
 
-def _cmd_density(args):
-    spec = _spec_from_args(args)
-    rows = _read_csv(args.input, "--input")
-    rows, flags = _apply_cond(args, rows)
-    values = dgarma(rows, spec, cond=flags, log=args.log)
+def _per_row(values, log, **fields):
+    """The payload of one value per series row, as density and cdf give."""
     return {
-        "csv": np.asarray(values)[None, :],
+        "csv": values[None, :],
         "json": {
             "labels": [f"Series[{i + 1}]" for i in range(len(values))],
-            "values": list(np.asarray(values)),
-            "log": bool(args.log),
+            "values": list(values),
+            "log": bool(log),
+            **fields,
         },
-        "plot": None,
     }
+
+
+def _cmd_density(args):
+    spec = _spec_from_args(args)
+    rows, flags = _input_rows(args)
+    return _per_row(dgarma(rows, spec, cond=flags, log=args.log), args.log)
 
 
 def _cmd_cdf(args):
     spec = _spec_from_args(args)
-    if args.tol <= 0:
-        raise UsageError("--tol must be > 0")
-    rows = _read_csv(args.input, "--input")
-    rows, flags = _apply_cond(args, rows)
+    rows, flags = _input_rows(args)
     pattern = build_pattern(missing=np.isnan(rows[0]), cond_flags=flags)
     if np.count_nonzero(pattern.free_mask) >= 3:
         seed = _effective_seed(args, "for cdf with 3 or more free positions")
     else:
         seed = args.seed if args.seed is not None else DEFAULT_CDF_SEED
     values = pgarma(rows, spec, cond=flags, log=args.log, tol=args.tol, seed=seed)
-    return {
-        "csv": np.asarray(values)[None, :],
-        "json": {
-            "labels": [f"Series[{i + 1}]" for i in range(len(values))],
-            "values": list(np.asarray(values)),
-            "log": bool(args.log),
-            "tol": args.tol,
-            "seed": seed,
-        },
-        "plot": None,
-    }
+    return _per_row(values, args.log, tol=args.tol, seed=seed)
 
 
 def _cmd_sample(args):
     spec = _spec_from_args(args)
-    if args.n < 1 or args.m < 1:
-        raise UsageError("--n and --m must be >= 1")
-    condvals = _parse_condvals(args.condvals) if args.condvals else None
-    if condvals is not None and len(condvals) != args.m:
-        raise UsageError(f"--condvals has length {len(condvals)}, --m is {args.m}")
+    condvals = _parse_condvals(args.condvals, args.m, "--m") if args.condvals else None
     seed = _effective_seed(args, "for sample")
     draws = rgarma(args.n, args.m, spec, condvals=condvals, seed=seed)
     return {
@@ -377,10 +377,6 @@ def _cmd_spectrum_test(args):
         raise UsageError("--input: spectrum-test expects exactly one series row")
     if np.isnan(rows).any():
         raise UsageError("--input: spectrum-test input must not contain NA values")
-    if args.sims < 1:
-        raise UsageError("--sims must be >= 1")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     seed = _effective_seed(args, "for spectrum-test")
     result = spectrum_test(rows[0], sims=args.sims, seed=seed,
                            progress=args.progress, workers=args.workers)
@@ -398,17 +394,6 @@ def _cmd_spectrum_test(args):
     }
 
 
-_HANDLERS = {
-    "acf": _cmd_acf,
-    "var": _cmd_var,
-    "density": _cmd_density,
-    "cdf": _cmd_cdf,
-    "sample": _cmd_sample,
-    "intensity": _cmd_intensity,
-    "spectrum-test": _cmd_spectrum_test,
-}
-
-
 def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -424,26 +409,33 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload, args, caught):
-    stream = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+@contextlib.contextmanager
+def _writing(flag, path):
+    """Report an OSError raised while writing ``path`` as a usage error."""
     try:
-        if args.format == "json":
-            doc = _jsonable(payload["json"])
-            doc["warnings"] = [str(w.message) for w in caught]
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
-        else:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-            _write_csv(payload["csv"], stream)
-    finally:
-        if args.output:
-            stream.close()
-    plot_path = getattr(args, "plot", None)
-    if plot_path:
-        if payload["plot"] is None:
-            raise UsageError(f"--plot is not supported for {args.command}")
-        emit_plot(payload["plot"], plot_path)
+        yield
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path}: {exc}") from None
+
+
+def _emit(payload, args, caught):
+    # The plot goes first, so a plot that cannot be written leaves no output.
+    if getattr(args, "plot", None):
+        with _writing("--plot", args.plot):
+            emit_plot(payload["plot"], args.plot)
+    if args.format == "json":
+        doc = _jsonable(payload["json"])
+        doc["warnings"] = [str(w.message) for w in caught]
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        text = _csv_text(payload["csv"])
+    if args.output:
+        with _writing("--output", args.output), open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
@@ -452,10 +444,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (try --help)")
-        handler = _HANDLERS[args.command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GarmaWarning)
-            payload = handler(args)
+            payload = args.handler(args)
         _emit(payload, args, caught)
         return 0
     except UsageError as exc:

@@ -45,6 +45,7 @@ from .errors import (
     InvalidParamError,
     NotPositiveDefiniteError,
     _check_seed,
+    _check_tol,
 )
 from .mvn import (
     _DEFAULT_MAX_POINTS,
@@ -280,12 +281,11 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     values.  A ``Generator`` or ``BitGenerator`` seed is consumed instead, so
     a second call with the same object gives other estimates.  Each row's
     estimate is still unbiased with its own error estimate within ``tol``.
-    ``tol`` must be positive even when no row needs it.  An all-missing row
-    raises :class:`AllMarginalisedError`; the probability is 1 by convention
-    only when every kept position is conditioned.
+    ``tol`` must be finite and positive even when no row needs it.  An
+    all-missing row raises :class:`AllMarginalisedError`; the probability is 1
+    by convention only when every kept position is conditioned.
     """
-    if not tol > 0.0:
-        raise InvalidParamError(f"tol must be > 0, got {tol!r}")
+    tol = _check_tol("tol", tol)
     seed = _check_seed(seed)
     if isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0),

@@ -1,4 +1,7 @@
-"""Exception and warning types and the seed check shared by the package."""
+"""Exception and warning types and the seed and tolerance checks of the package."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -120,12 +123,16 @@ class NumericalAdjustmentWarning(GarmaWarning):
 
 
 def _check_seed(seed):
-    """``seed`` for numpy's generators: ``None`` and numpy's seed objects pass
-    unchanged, and a number, alone or in a list or tuple, must be a
-    non-negative integer (an integral float becomes an ``int``), else
-    :class:`InvalidParamError`."""
-    if seed is None or isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator,
-                                         np.random.Generator)):
+    """``seed`` for numpy's generators: ``None`` and numpy's seed objects pass,
+    a ``SeedSequence`` as a copy (a generator spawns children from its
+    ``SeedSequence``, which would change the caller's object), and a number,
+    alone or in a list or tuple, must be a non-negative integer (an integral
+    float becomes an ``int``), else :class:`InvalidParamError`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size,
+                                      n_children_spawned=seed.n_children_spawned)
+    if seed is None or isinstance(seed, (np.random.BitGenerator, np.random.Generator)):
         return seed
     entries = seed if isinstance(seed, (list, tuple)) else [seed]
     ints = [int(v) if isinstance(v, (int, np.integer))
@@ -134,3 +141,11 @@ def _check_seed(seed):
     if min(ints, default=0) < 0:
         raise InvalidParamError(f"seed must be a non-negative integer, got {seed!r}")
     return ints if entries is seed else ints[0]
+
+
+def _check_tol(name, value):
+    """``value`` as a float if it is a finite real number above 0 and not a
+    bool, else :class:`InvalidParamError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)

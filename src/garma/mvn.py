@@ -26,6 +26,7 @@ from .errors import (
     NumericalAdjustmentWarning,
     ToleranceNotReachedError,
     _check_seed,
+    _check_tol,
 )
 
 __all__ = [
@@ -430,16 +431,6 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     from scipy.stats import qmc
 
     factors = [_ordered_cholesky(corr, row) for row in z]
-    if isinstance(seed, np.random.SeedSequence):
-        # Each engine spawns a child of the generator's SeedSequence; a copy
-        # leaves the caller's object as it was, so it gives the same
-        # scrambles on every call.
-        seed = np.random.SeedSequence(
-            seed.entropy,
-            spawn_key=seed.spawn_key,
-            pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned,
-        )
     rng = np.random.default_rng(seed)
     results = {}
     exponent = 10
@@ -518,8 +509,9 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
         )
     if np.any(np.isnan(u)):
         raise InvalidParamError("upper bounds must not be NaN")
-    if not tol > 0.0:
-        raise InvalidParamError(f"tol must be > 0, got {tol!r}")
+    tol = _check_tol("tol", tol)
+    if not isinstance(max_points, (int, np.integer)) or max_points < 1:
+        raise InvalidParamError(f"max_points must be a positive integer, got {max_points!r}")
     seed = _check_seed(seed)
     if np.any(u == -np.inf):
         return CdfResult(value=0.0, error_estimate=0.0, method="closed_form_1d")

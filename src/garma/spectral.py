@@ -208,12 +208,6 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
     )
 
 
-def _chunk_sizes(sims, n):
-    chunk = max(1, min(8192, _CHUNK_CELLS // max(n, 1)))
-    edges = list(range(0, sims, chunk)) + [sims]
-    return [edges[i + 1] - edges[i] for i in range(len(edges) - 1)]
-
-
 def _null_maxima_chunk(values, chunk_index, size, seed, use_rfft):
     """Maxima of the permutation null for one chunk: seeded by the chunk
     index alone, so any partition of chunks over workers yields identical
@@ -255,7 +249,8 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     x : array
         One series of length n >= 3 with at least two distinct values.
     sims : int
-        Number of permutations (>= 1).
+        Number of permutations (>= 1); a null sample of ``8 * sims`` bytes
+        that cannot be allocated raises :class:`InvalidParamError`.
     seed : int or numpy seed, optional
         Seed for the permutation stream.  The int actually used is recorded
         on the result, so ``seed=result.seed`` repeats the run.  ``None`` (OS
@@ -295,19 +290,25 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     values = standardized[0]
     use_rfft = not np.iscomplexobj(values)
 
-    sizes = _chunk_sizes(sims, n)
-    pieces = []
+    # Each chunk writes its slice of one null sample, so the peak is the
+    # sample plus the chunks in flight.
+    try:
+        null_sample = np.empty(sims)
+    except (MemoryError, ValueError):
+        raise InvalidParamError(f"cannot allocate {8 * sims} bytes for sims={sims}") from None
+    chunk = max(1, min(8192, _CHUNK_CELLS // n))
+
+    def fill(start):
+        """Write the chunk that starts at ``start``; returns its size."""
+        piece = null_sample[start:start + chunk]
+        piece[:] = _null_maxima_chunk(values, start // chunk, piece.size, seed, use_rfft)
+        return piece.size
+
     done = 0
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        chunks = (map if workers == 1 else pool.map)(
-            lambda index, size: _null_maxima_chunk(values, index, size, seed, use_rfft),
-            range(len(sizes)), sizes,
-        )
-        for piece, size in zip(chunks, sizes):
-            pieces.append(piece)
+        for size in (map if workers == 1 else pool.map)(fill, range(0, sims, chunk)):
             done += size
             _emit_progress(progress, done, sims)
-    null_sample = np.concatenate(pieces)
     ties_from = statistic * (1.0 - _TIE_REL)
     p_value = (1.0 + float(np.count_nonzero(null_sample >= ties_from))) / (sims + 1.0)
     return SpectrumTestResult(

@@ -495,6 +495,68 @@ class TestSpectrumTest:
         assert code != 0
 
 
+class TestFlagValues:
+    """Count and tolerance flags are checked while parsing: a bad value is a
+    usage error that names the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("acf",), "--n", "0"),
+            (("var",), "--n", "0"),
+            (("sample", "--m", "3", "--seed", "1"), "--n", "0"),
+            (("sample", "--n", "2", "--seed", "1"), "--m", "0"),
+            (("spectrum-test", "--seed", "1"), "--sims", "0"),
+            (("spectrum-test", "--seed", "1"), "--workers", "0"),
+            (("cdf",), "--tol", "0"),
+            (("cdf",), "--tol", "-0.5"),
+            (("cdf",), "--tol", "nan"),
+            (("cdf",), "--tol", "inf"),
+        ],
+    )
+    def test_value_out_of_range(self, capsys, tmp_path, argv, flag, value):
+        path = tmp_path / "x.csv"
+        path.write_text("0.5,1.0,-0.5,2.0\n")
+        if argv[0] in ("cdf", "spectrum-test"):
+            argv = (*argv, "--input", str(path))
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument {flag}: must be finite and > 0, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("acf", "--n", "x"), "argument --n: invalid int value: 'x'"),
+            (("acf", "--n", "1.5"), "argument --n: invalid int value: '1.5'"),
+            (("cdf", "--input", "x.csv", "--tol", "a"), "argument --tol: invalid float value: 'a'"),
+        ],
+    )
+    def test_unparsable_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+class TestUnwritablePaths:
+    def test_output(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "acf.csv"
+        code, out, err = run_cli(
+            capsys, "acf", "--n", "2", "--ar", "0.5", "--output", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: --output: cannot write {target}: ")
+
+    def test_plot_fails_before_any_output(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "draws.svg"
+        base = ("sample", "--n", "2", "--m", "3", "--seed", "1", "--plot", str(target))
+        code, out, err = run_cli(capsys, *base)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: --plot: cannot write {target}: ")
+        csv = tmp_path / "draws.csv"
+        code, _, _ = run_cli(capsys, *base, "--output", str(csv))
+        assert code == 1
+        assert not csv.exists()
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -33,6 +33,7 @@ from garma import (
     dgarma,
     mvn,
     pgarma,
+    psi_weights,
     rgarma,
     spectrum_test,
     validate_stationary,
@@ -975,3 +976,27 @@ class TestSeedRule:
         assert result.seed == int(np.random.default_rng(make(7)).integers(1 << 63))
         again = spectrum_test(x, sims=20, seed=result.seed, progress=False)
         assert np.array_equal(again.null_sample, result.null_sample)
+
+
+# Each entry point that takes a tolerance, called with ``tol`` as that
+# tolerance; two free positions, so no call needs to reach it.
+TOLERANCED = {
+    "psi_weights": lambda tol: psi_weights(AR1, tol),
+    "autocovariance": lambda tol: autocovariance(AR1, 2, rel_tol=tol),
+    "pgarma": lambda tol: pgarma([[0.1, 0.2]], AR1, tol=tol),
+    "mvn_cdf": lambda tol: mvn.mvn_cdf([0.1, 0.2], toeplitz_params(AR1, 2), tol=tol),
+}
+
+
+class TestToleranceRule:
+    """One typed rule for tolerances: a real number, not a bool, finite and > 0."""
+
+    @pytest.mark.parametrize("tol", ["a", True, float("nan"), float("inf"), 0, -1])
+    @pytest.mark.parametrize("entry", sorted(TOLERANCED))
+    def test_bad_tolerance_is_typed(self, entry, tol):
+        with pytest.raises(InvalidParamError, match="must be finite and > 0"):
+            TOLERANCED[entry](tol)
+
+    @pytest.mark.parametrize("entry", sorted(TOLERANCED))
+    def test_numpy_float_accepted(self, entry):
+        TOLERANCED[entry](np.float32(1e-8))

@@ -408,6 +408,13 @@ class TestMvnCdf:
         with pytest.raises(InvalidParamError):
             mvn.mvn_cdf([0.0, np.nan], params)
 
+    @pytest.mark.parametrize("max_points", [-5, 0, 2.5, "a", None])
+    def test_bad_max_points_is_typed(self, max_points):
+        # Rejected even where no row would reach the cap.
+        params = mvn.GaussianParams(mean=[0.0], cov=[[1.0]])
+        with pytest.raises(InvalidParamError, match="max_points must be a positive integer"):
+            mvn.mvn_cdf([0.0], params, max_points=max_points)
+
     def test_tolerance_not_reached(self):
         params = mvn.GaussianParams(mean=np.zeros(5), cov=equicorr(5, 0.5))
         with pytest.raises(ToleranceNotReachedError) as info:

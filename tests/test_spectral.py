@@ -278,6 +278,11 @@ class TestSpectrumTest:
         with pytest.raises(InvalidParamError):
             spectrum_test(x, sims=0, seed=1, progress=False)
 
+    def test_unallocatable_null_sample_is_typed(self):
+        # Fails at the allocation, before any chunk is laid out or drawn.
+        with pytest.raises(InvalidParamError, match="8000000000000000 bytes for sims=1000000000000000"):
+            spectrum_test(np.arange(5.0), sims=10**15, seed=1, progress=False)
+
     def test_bad_workers(self):
         x = np.arange(5.0)
         with pytest.raises(InvalidParamError):
