@@ -30,6 +30,7 @@ from .errors import (
     NearUnitRootWarning,
     NonStationaryError,
     SharedRootWarning,
+    _check_count,
     _check_tol,
 )
 from .mvn import _cov_to_corr, _free_moments
@@ -444,12 +445,11 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     such a model raises :class:`InvalidParamError`).  The forward recursion
     adds rounding that grows slowly with the lag.
     """
-    if not isinstance(max_lag, (int, np.integer)) or max_lag < 0:
-        raise InvalidParamError(f"max_lag must be a non-negative integer, got {max_lag!r}")
+    max_lag = _check_count("max_lag", max_lag, 0)
     rel_tol = _check_tol("rel_tol", rel_tol)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
-    return AcvSequence(values=_acvf(spec, int(max_lag), moduli, rel_tol), is_correlation=False)
+    return AcvSequence(values=_acvf(spec, max_lag, moduli, rel_tol), is_correlation=False)
 
 
 def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
@@ -500,9 +500,7 @@ def _covariance(n, spec, moduli):
 
 def acf_vector(n: int, spec: ArmaSpec, corr: bool = False) -> AcvSequence:
     """Autocovariance (or autocorrelation, when ``corr``) at lags 0..n-1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParamError(f"n must be a positive integer, got {n!r}")
-    acv = autocovariance(spec, int(n) - 1)
+    acv = autocovariance(spec, _check_count("n", n, 1) - 1)
     if not corr:
         return acv
     return AcvSequence(values=acv.values / acv.values[0], is_correlation=True)
@@ -525,9 +523,7 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
     AllMarginalisedError
         If every position of ``cond`` is marginalised.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParamError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count("n", n, 1)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
     full = _covariance(n, spec, moduli)

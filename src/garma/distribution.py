@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamError,
     NotPositiveDefiniteError,
+    _check_count,
     _check_seed,
     _check_tol,
 )
@@ -470,11 +471,7 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     triangular solve, and no ``m x m`` matrix is formed.  A non-positive
     conditional variance raises :class:`NotPositiveDefiniteError`.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParamError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidParamError(f"m must be a positive integer, got {m!r}")
-    n, m = int(n), int(m)
+    n, m = _check_count("n", n, 1), _check_count("m", m, 1)
     seed = _check_seed(seed)
     moduli = validate_stationary(spec)
     pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)

@@ -1,4 +1,4 @@
-"""Exception and warning types and the seed and tolerance checks of the package."""
+"""Exception and warning types and the seed, count and tolerance checks of the package."""
 
 import math
 import numbers
@@ -141,6 +141,15 @@ def _check_seed(seed):
     if min(ints, default=0) < 0:
         raise InvalidParamError(f"seed must be a non-negative integer, got {seed!r}")
     return ints if entries is seed else ints[0]
+
+
+def _check_count(name, value, minimum):
+    """``value`` as an ``int`` if it is an integer, not a bool, of at least
+    ``minimum`` (0 or 1), else :class:`InvalidParamError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise InvalidParamError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def _check_tol(name, value):

@@ -11,7 +11,9 @@ separation-of-variables transform in three or more.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalAdjustmentWarning,
     ToleranceNotReachedError,
+    _check_count,
     _check_seed,
     _check_tol,
 )
@@ -45,9 +48,11 @@ __all__ = [
 # loads numpy alone: scipy.linalg or scipy.special takes longer to import than
 # a CLI command like acf, intensity or spectrum-test takes to run, and those
 # use neither.  scipy.linalg serves the triangular solves here and the banded
-# ones of dgarma and rgarma, scipy.special the normal CDF and its inverse,
-# scipy.stats only the quasi-Monte Carlo path.  Importing a module that is
-# already loaded costs about a microsecond.
+# ones of dgarma and rgarma, scipy.special the normal CDF and its inverse.
+# No function loads scipy.stats: the quasi-Monte Carlo path builds its own
+# scrambled Sobol points and reads only the direction-number table that
+# scipy ships.  Importing a module that is already loaded costs about a
+# microsecond.
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -402,6 +407,89 @@ def _ordered_cholesky(corr, upper):
     return ell, u
 
 
+# Scrambled Sobol points, bit for bit those of scipy.stats.qmc.Sobol(d,
+# scramble=True) seeded with the same child generator: Joe and Kuo's (2008)
+# direction numbers in 30 bits under Matousek's (1998) linear-matrix scramble
+# with a digital shift, drawn in Gray-code order.
+_SOBOL_BITS = 30
+_SOBOL_POWERS = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=1)
+def _sobol_table():
+    """Joe and Kuo's primitive polynomials and initial direction numbers, one
+    row per dimension, from the table file scipy ships; reading it loads no
+    scipy module beyond ``scipy`` itself."""
+    import scipy
+
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        return table["poly"], table["vinit"]
+
+
+@functools.lru_cache(maxsize=16)
+def _sobol_bits(d):
+    """Bits of the unscrambled direction numbers of the first ``d``
+    dimensions as floats, ``[k, j, c]`` the ``c``-th most significant of the
+    30 bits of direction ``j`` in dimension ``k``.
+
+    Bratley and Fox's (1988) recursion runs for all dimensions at once; the
+    first dimension is the van der Corput sequence.
+    """
+    poly, vinit = _sobol_table()
+    if d > poly.shape[0]:
+        raise InvalidParamError(
+            f"scrambled Sobol points support at most {poly.shape[0]} dimensions, "
+            f"got {d}; that is at most {poly.shape[0] + 1} free positions"
+        )
+    p = poly[:d].astype(np.int64)
+    deg = np.array([int(x).bit_length() - 1 for x in p.tolist()], dtype=np.int64)
+    v = np.zeros((d, _SOBOL_BITS), dtype=np.int64)
+    v[:, :vinit.shape[1]] = vinit[:d]
+    for j in range(1, _SOBOL_BITS):
+        late = j >= deg
+        new = v[np.arange(d), np.maximum(j - deg, 0)]
+        for k in range(min(j, int(deg.max()))):
+            tap = late & (k < deg) & ((p >> np.maximum(deg - 1 - k, 0)) & 1 == 1)
+            new = new ^ np.where(tap, v[:, j - k - 1] << (k + 1), 0)
+        v[:, j] = np.where(late, new, v[:, j])
+    v[0] = 1
+    msb_first = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
+    bits = (((v << msb_first)[:, :, None] >> msb_first) & 1).astype(float)
+    bits.setflags(write=False)  # cached, so shared by every caller
+    return bits
+
+
+def _sobol_scramble(gen, d):
+    """Direction numbers ``(d, 30)`` and shift ``(d,)`` of one scrambled
+    engine, both ``uint32``, drawn from ``gen`` in scipy's order: the shift
+    bits, then the lower-triangular matrices, whose unit diagonal is then set."""
+    bits = _sobol_bits(d)
+    shift = gen.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_POWERS
+    draws = gen.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(draws, -1) + np.eye(_SOBOL_BITS)
+    scrambled = np.fmod(bits @ ltm.transpose(0, 2, 1), 2.0) @ _SOBOL_POWERS[::-1]
+    return scrambled.astype(np.uint32), shift
+
+
+def _sobol_points(directions, shift, m):
+    """The first ``2**m`` points of a scrambled engine, ``(2**m, d)``, in
+    Gray-code order: point ``i`` is ``shift`` XOR the direction numbers of the
+    bits set in ``i ^ (i >> 1)``.
+
+    Doubling fills them: the points ``2**b .. 2**(b+1) - 1`` are those before,
+    reversed, XOR direction ``b``.  The result is the transpose of a
+    ``(d, 2**m)`` array, so each coordinate is contiguous.
+    """
+    x = np.empty((shift.shape[0], 1 << m), dtype=np.uint32)
+    x[:, 0] = shift
+    for b in range(m):
+        half = 1 << b
+        np.bitwise_xor(x[:, half - 1::-1], directions[:, b:b + 1], out=x[:, half:2 * half])
+    return (x * 2.0 ** -_SOBOL_BITS).T
+
+
 def _sov_mean(ell, u, pts):
     """Average of the separation-of-variables integrand over unit-cube points."""
     from scipy.special import ndtr, ndtri
@@ -421,27 +509,30 @@ def _sov_mean(ell, u, pts):
 def _qmc_cdf(corr, z, tol, seed, max_points):
     """Quasi-Monte Carlo :func:`_rectangle_cdf` for three or more dimensions.
 
-    Each refinement round draws ``_QMC_BATCHES`` scrambled Sobol point sets
-    from one generator seeded with ``seed`` and evaluates every row not yet
-    within ``tol`` on them.  Each scramble alone gives an unbiased estimate,
-    so every row keeps its own error estimate (Owen 1997).  The point cap is
-    reached by all rows in the same round; the first row still above ``tol``
-    then raises.
+    Each refinement round scrambles ``_QMC_BATCHES`` Sobol point sets, each
+    from its own child of the ``SeedSequence`` of one generator seeded with
+    ``seed``, and evaluates every row not yet within ``tol`` on them.  Each
+    scramble alone gives an unbiased estimate, so every row keeps its own
+    error estimate (Owen 1997).  The point cap is reached by all rows in the
+    same round; the first row still above ``tol`` then raises.  The points do
+    not depend on the installed scipy: they equal those scipy 1.17's
+    ``qmc.Sobol`` draws when it spawns one child of the same generator per
+    engine.
     """
-    from scipy.stats import qmc
-
+    d = corr.shape[0] - 1
     factors = [_ordered_cholesky(corr, row) for row in z]
-    rng = np.random.default_rng(seed)
+    bit_gen = np.random.default_rng(seed).bit_generator
     results = {}
     exponent = 10
     total = 0
     while len(results) < len(factors):
         todo = [row for row in range(len(factors)) if row not in results]
-        engines = [qmc.Sobol(d=corr.shape[0] - 1, scramble=True, seed=rng)
-                   for _ in range(_QMC_BATCHES)]
+        # numpy 1.23 has no public SeedSequence attribute on a bit generator.
+        engines = [_sobol_scramble(np.random.Generator(type(bit_gen)(child)), d)
+                   for child in bit_gen._seed_seq.spawn(_QMC_BATCHES)]
         estimates = np.empty((len(todo), _QMC_BATCHES))
         for j, engine in enumerate(engines):
-            pts = engine.random_base2(exponent)
+            pts = _sobol_points(*engine, exponent)
             for i, row in enumerate(todo):
                 estimates[i, j] = _sov_mean(*factors[row], pts)
         total += _QMC_BATCHES << exponent
@@ -510,8 +601,7 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     if np.any(np.isnan(u)):
         raise InvalidParamError("upper bounds must not be NaN")
     tol = _check_tol("tol", tol)
-    if not isinstance(max_points, (int, np.integer)) or max_points < 1:
-        raise InvalidParamError(f"max_points must be a positive integer, got {max_points!r}")
+    max_points = _check_count("max_points", max_points, 1)
     seed = _check_seed(seed)
     if np.any(u == -np.inf):
         return CdfResult(value=0.0, error_estimate=0.0, method="closed_form_1d")
@@ -530,6 +620,5 @@ def _sample(mean, factor, count, seed):
 def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     """Draw ``count`` rows from N(mean, cov), reproducibly for a given seed."""
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise InvalidParamError(f"count must be a non-negative integer, got {count!r}")
-    return _sample(p.mean, cholesky(p.cov), int(count), _check_seed(seed))
+    count = _check_count("count", count, 0)
+    return _sample(p.mean, cholesky(p.cov), count, _check_seed(seed))

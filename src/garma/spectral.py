@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     InvalidParamError,
     ZeroVarianceError,
+    _check_count,
     _check_seed,
 )
 
@@ -273,11 +274,8 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     n = arr.size
     if n < 3:
         raise InvalidParamError(f"spectrum_test needs n >= 3, got n={n}")
-    if not isinstance(sims, (int, np.integer)) or sims < 1:
-        raise InvalidParamError(f"sims must be a positive integer, got {sims!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InvalidParamError(f"workers must be a positive integer, got {workers!r}")
-    sims = int(sims)
+    sims = _check_count("sims", sims, 1)
+    workers = _check_count("workers", workers, 1)
     seed = _check_seed(seed)
 
     observed = intensity(arr, centred=True, scaled=True, nyquist=True)
@@ -305,7 +303,7 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
         return piece.size
 
     done = 0
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for size in (map if workers == 1 else pool.map)(fill, range(0, sims, chunk)):
             done += size
             _emit_progress(progress, done, sims)

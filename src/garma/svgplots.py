@@ -146,7 +146,12 @@ def _histogram_panel(result, x0, y0):
     null = result.null_sample
     lo = float(min(null.min(), result.statistic))
     hi = float(max(null.max(), result.statistic))
-    counts, edges = np.histogram(null, bins=40, range=(lo, hi))
+    bins = 40
+    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0.0):
+        # A span of a few ulps (n = 3 gives 1 up to rounding) cannot hold the
+        # bins; plot it as the one value it is, which np.histogram widens.
+        hi = lo
+    counts, edges = np.histogram(null, bins=bins, range=(lo, hi))
     panel = _Panel(x0, y0, (lo, hi), (0.0, float(counts.max())),
                    f"permutation null (sims={result.sims}, p={result.p_value:.4g})",
                    "maximum scaled intensity", "count")

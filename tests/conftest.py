@@ -10,7 +10,9 @@ Toeplitz matrix and, for AR(1), the closed-form Markov likelihood; the AR(1)
 sampler oracle is the scalar Markov bridge.  The Kalman-filter oracle steps
 every position one at a time from a Lyapunov-solved start, with no shortcut.
 The bivariate normal CDF oracle integrates the density over the correlation
-(Plackett's identity) instead of using the library's quadrature rule.
+(Plackett's identity) instead of using the library's quadrature rule.  The
+scrambled Sobol oracle runs the direction-number recursion, the scramble and
+the Gray-code walk one bit and one point at a time on Python integers.
 """
 
 import math
@@ -198,6 +200,42 @@ def brute_conditional(mean, cov, free_idx, cond_idx, values, refine=False):
     cmean = mean[free_idx] + coef @ (np.asarray(values, dtype=float) - mean[cond_idx])
     ccov = sff - coef @ sfa.T
     return cmean, ccov
+
+
+def sobol_reference(gen, d, m, poly, vinit, bits=30):
+    """The first ``2**m`` scrambled Sobol points of dimension ``d``, drawing
+    the scramble from ``gen``: Bratley and Fox's recursion on the table rows
+    ``poly``/``vinit``, then Matousek's linear-matrix scramble and a digital
+    shift, each bit a parity of a masked word, then one point after another,
+    each the previous one XOR the direction of its lowest set index bit."""
+    directions = []
+    for k in range(d):
+        p = int(poly[k])
+        deg = p.bit_length() - 1
+        v = [1] * bits if k == 0 else [int(x) for x in vinit[k][:deg]]
+        while len(v) < bits:
+            j = len(v)
+            new = v[j - deg]
+            for i in range(deg):
+                if (p >> (deg - 1 - i)) & 1:
+                    new ^= v[j - i - 1] << (i + 1)
+            v.append(new)
+        directions.append([x << (bits - 1 - j) for j, x in enumerate(v)])
+    shift_bits = gen.integers(2, size=(d, bits), dtype=np.uint32)
+    ltm = np.tril(gen.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    for k in range(d):
+        rows = [sum(int(ltm[k, r, c]) << (bits - 1 - c) for c in range(r)) | (1 << (bits - 1 - r))
+                for r in range(bits)]
+        directions[k] = [sum((bin(row & word).count("1") & 1) << (bits - 1 - r)
+                             for r, row in enumerate(rows))
+                         for word in directions[k]]
+    point = [sum(int(b) << i for i, b in enumerate(row)) for row in shift_bits]
+    points = [point]
+    for i in range(1, 2**m):
+        low = (i & -i).bit_length() - 1
+        point = [x ^ directions[k][low] for k, x in enumerate(point)]
+        points.append(point)
+    return np.array(points, dtype=float) / 2.0**bits
 
 
 def random_stationary_spec(rng, p_max=2, q_max=2, min_root=1.25, with_mean=True):

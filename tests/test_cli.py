@@ -486,6 +486,18 @@ class TestSpectrumTest:
         content = svg.read_text()
         assert content.startswith("<svg")
 
+    def test_plot_of_three_observations(self, capsys, tmp_path):
+        # The null sample spans a few ulps here; the plot is still drawn.
+        path = self.write_series(tmp_path, np.random.default_rng(5).standard_normal(3))
+        svg = tmp_path / "n3.svg"
+        code, _, err = run_cli(
+            capsys,
+            "spectrum-test", "--input", str(path), "--sims", "1", "--seed", "1",
+            "--no-progress", "--plot", str(svg),
+        )
+        assert (code, err) == (0, "")
+        assert svg.read_text().startswith("<svg")
+
     def test_multi_row_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")

@@ -27,6 +27,7 @@ from garma import (
     NonStationaryError,
     NotPositiveDefiniteError,
     SharedRootWarning,
+    acf_vector,
     as_series_matrix,
     autocovariance,
     build_pattern,
@@ -345,16 +346,14 @@ class TestPgarma:
         assert np.array_equal(values, direct)
 
     def test_rows_share_one_set_of_scrambles(self, monkeypatch):
-        from scipy.stats import qmc
-
-        original = qmc.Sobol
+        original = mvn._sobol_scramble
         built = []
 
-        def counting_sobol(*args, **kwargs):
-            built.append(kwargs["d"])
-            return original(*args, **kwargs)
+        def counting_scramble(gen, d):
+            built.append(d)
+            return original(gen, d)
 
-        monkeypatch.setattr(qmc, "Sobol", counting_sobol)
+        monkeypatch.setattr(mvn, "_sobol_scramble", counting_scramble)
         rows = np.random.default_rng(3).normal(size=(5, 4))
         tol = 1e-4
         values = pgarma(rows, AR1, tol=tol)
@@ -700,9 +699,12 @@ class TestKalmanEngine:
     def test_import_and_non_cdf_command_do_not_load_scipy_stats(self, tmp_path):
         # scipy loads on first use only: none for the import and the commands
         # that never call it, scipy.linalg alone for the filter and the Schur
-        # step, scipy.stats only for a quasi-Monte Carlo CDF.
+        # step, scipy.special for a CDF; no scipy.stats module, not even for
+        # a quasi-Monte Carlo CDF.
         series = tmp_path / "series.csv"
         series.write_text("0.3,-1.2,0.8,0.1,-0.4,1.5,-0.2,0.6\n")
+        upper = tmp_path / "upper.csv"
+        upper.write_text("0.2,-0.1,0.4,0.3\n")
         code = textwrap.dedent("""
             import sys, garma, garma.cli
             def scipy_loaded():
@@ -722,13 +724,18 @@ class TestKalmanEngine:
             garma.variance_matrix(4, spec, cond=pattern)
             seen.append(scipy_loaded())
             p = garma.pgarma([0.2, -0.1, 0.4], garma.ArmaSpec(ar=(0.5,)))[0]
-            print(seen, 0.0 < p < 1.0)
+            seen.append(scipy_loaded())
+            argv = ['cdf', '--input', sys.argv[2], '--ar', '0.5', '--seed', '1']
+            assert garma.cli.main(argv) == 0
+            stats = [m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')]
+            print(seen, 0.0 < p < 1.0, stats)
         """)
-        result = subprocess.run([sys.executable, "-c", code, str(series)],
+        result = subprocess.run([sys.executable, "-c", code, str(series), str(upper)],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == (
-            "[[], [], [], [], ['scipy', 'scipy.linalg']] True"
+            "[[], [], [], [], ['scipy', 'scipy.linalg'], "
+            "['scipy', 'scipy.linalg', 'scipy.special']] True []"
         )
 
 
@@ -1000,3 +1007,32 @@ class TestToleranceRule:
     @pytest.mark.parametrize("entry", sorted(TOLERANCED))
     def test_numpy_float_accepted(self, entry):
         TOLERANCED[entry](np.float32(1e-8))
+
+
+# Each entry point that takes a count, called with ``value`` as that count.
+COUNTED = {
+    "autocovariance.max_lag": lambda value: autocovariance(AR1, value),
+    "acf_vector.n": lambda value: acf_vector(value, AR1),
+    "variance_matrix.n": lambda value: variance_matrix(value, AR1),
+    "rgarma.n": lambda value: rgarma(value, 3, AR1, seed=1),
+    "rgarma.m": lambda value: rgarma(2, value, AR1, seed=1),
+    "mvn_cdf.max_points": lambda value: mvn.mvn_cdf([0.1], toeplitz_params(AR1, 1),
+                                                    max_points=value),
+    "sample.count": lambda value: mvn.sample(toeplitz_params(AR1, 2), value, seed=1),
+    "spectrum_test.sims": lambda value: spectrum_test(np.arange(8.0) % 3, sims=value, seed=1,
+                                                      progress=False),
+    "spectrum_test.workers": lambda value: spectrum_test(np.arange(8.0) % 3, sims=5, seed=1,
+                                                         progress=False, workers=value),
+}
+
+
+class TestCountRule:
+    """One typed rule for counts: an integer, not a bool, at least its minimum."""
+
+    @pytest.mark.parametrize("value", [True, False, -1, 2.0, "3", None])
+    @pytest.mark.parametrize("entry", sorted(COUNTED))
+    def test_bad_count_is_typed(self, entry, value):
+        name = entry.split(".")[1]
+        with pytest.raises(InvalidParamError, match=f"^{name} must be a .* integer, got "):
+            COUNTED[entry](value)
+        COUNTED[entry](np.int64(2))

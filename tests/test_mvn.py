@@ -25,7 +25,7 @@ from garma import (
     mvn,
     variance_matrix,
 )
-from conftest import brute_conditional, norm_cdf, plackett_bvn_cdf
+from conftest import brute_conditional, norm_cdf, plackett_bvn_cdf, sobol_reference
 
 AR1_COV2 = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
 
@@ -53,7 +53,8 @@ class TestCholesky:
     def test_inflation_rescues_near_singular(self):
         # Exactly singular within rounding; a tiny inflation must rescue it.
         cov = np.ones((2, 2))
-        factor = mvn.cholesky(cov)
+        with pytest.warns(NumericalAdjustmentWarning):
+            factor = mvn.cholesky(cov)
         assert np.allclose(factor @ factor.T, cov, atol=1e-7)
 
     def test_inflation_warns_with_eps(self):
@@ -421,6 +422,80 @@ class TestMvnCdf:
             mvn.mvn_cdf([0.0] * 5, params, tol=1e-12, seed=3, max_points=50_000)
         assert 0.0 <= info.value.best_estimate <= 1.0
         assert info.value.error_estimate > 1e-12
+
+
+def scipy_sobol_spawns():
+    """Whether the installed scipy seeds each ``qmc.Sobol`` from a spawned
+    child of a passed ``Generator``, the rule garma's points reproduce."""
+    from scipy.stats import qmc
+
+    gen = np.random.default_rng(0)
+    qmc.Sobol(2, scramble=True, seed=gen)
+    return gen.bit_generator._seed_seq.n_children_spawned == 1
+
+
+def sobol_engines(seed, d, count):
+    """``count`` successive scrambled engines of dimension ``d``, as one
+    quasi-Monte Carlo round spawns them from a generator seeded with ``seed``."""
+    bit_gen = np.random.default_rng(seed).bit_generator
+    return [mvn._sobol_scramble(np.random.Generator(type(bit_gen)(child)), d)
+            for child in bit_gen._seed_seq.spawn(count)]
+
+
+class TestSobolPoints:
+    """garma's scrambled Sobol points, which the quasi-Monte Carlo CDF uses."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 40, 200, 1111])
+    def test_bit_identical_to_scipy(self, d):
+        if not scipy_sobol_spawns():
+            pytest.skip("this scipy does not seed Sobol from a child of a passed Generator")
+        from scipy.stats import qmc
+
+        for seed in (0, 7, mvn.DEFAULT_CDF_SEED):
+            gen = np.random.default_rng(seed)
+            for engine in sobol_engines(seed, d, 3):
+                theirs = qmc.Sobol(d, scramble=True, seed=gen)
+                for m in (0, 1, 4, 10):
+                    want = theirs.reset().random_base2(m)
+                    got = mvn._sobol_points(*engine, m)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, m", [(1, 3), (3, 6), (8, 5)])
+    def test_matches_loop_reference(self, d, m):
+        poly, vinit = mvn._sobol_table()
+        for seed in (0, 7):
+            want = sobol_reference(np.random.default_rng(seed), d, m, poly, vinit)
+            got = mvn._sobol_points(*mvn._sobol_scramble(np.random.default_rng(seed), d), m)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, m", [(1, 0), (3, 1), (5, 8), (20, 12)])
+    def test_each_coordinate_is_stratified(self, d, m):
+        # Each coordinate puts exactly one point in each [k, k + 1) / 2**m.
+        for engine in sobol_engines(5, d, 2):
+            pts = mvn._sobol_points(*engine, m)
+            assert pts.shape == (2**m, d)
+            assert np.all((pts >= 0.0) & (pts < 1.0))
+            cells = np.sort(np.floor(pts * 2**m), axis=0)
+            assert np.array_equal(cells, np.repeat(np.arange(2.0**m)[:, None], d, axis=1))
+
+    def test_pinned_cdf_values(self):
+        # garma's own stream, so these hold on every supported scipy; the
+        # tolerance admits rounding in ndtr and ndtri, not another stream,
+        # which moves the value by about its error estimate.
+        params = mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3))
+        result = mvn.mvn_cdf([0.5, -0.2, 1.0, 0.0], params, seed=99)
+        assert result.value == pytest.approx(0.20350045756446494, rel=1e-12, abs=0)
+        assert result.error_estimate == pytest.approx(2.2515176603478164e-06, rel=1e-9)
+        cov = 0.6 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
+        result = mvn.mvn_cdf([0.3, -0.4, 0.8, 0.1, -0.2, 0.5],
+                             mvn.GaussianParams(np.zeros(6), cov), tol=1e-4)
+        assert result.value == pytest.approx(0.11819172595966398, rel=1e-12, abs=0)
+        assert result.error_estimate == pytest.approx(2.0714338839225573e-06, rel=1e-9)
+
+    def test_too_many_dimensions_is_typed(self):
+        assert mvn._sobol_table()[0].shape == (21201,)
+        with pytest.raises(InvalidParamError, match="at most 21201 dimensions, got 21202"):
+            mvn._sobol_scramble(np.random.default_rng(0), 21202)
 
 
 class TestSample:

@@ -42,3 +42,15 @@ def test_single_point_series_still_valid_svg(tmp_path):
     content = path.read_text()
     assert content.startswith("<svg")
     assert content.rstrip().endswith("</svg>")
+
+
+def test_spectrum_result_with_n3_is_plotted(tmp_path):
+    # With n = 3 the statistic and the null sample agree up to a few ulps,
+    # too narrow a span for the histogram's 40 bins.
+    result = spectrum_test(np.random.default_rng(5).standard_normal(3), sims=1, seed=1,
+                           progress=False)
+    path = tmp_path / "n3.svg"
+    emit_plot(result, path)
+    content = path.read_text()
+    assert content.startswith("<svg")
+    assert content.count('fill="#a6c8e0"') == 1  # one histogram bar
