@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -36,6 +37,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token like -1e-3 or -0.5,0.2 is a value, as -5 and -0.5 are to argparse.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

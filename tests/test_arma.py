@@ -437,6 +437,15 @@ class TestVarianceMatrix:
         assert vm_a.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert vm_a.index_labels == (2,)
 
+    def test_conditional_correlation(self):
+        pat = build_pattern(condvals=[0.0, np.nan, np.nan, 0.0, np.nan])
+        vm = variance_matrix(5, GARMA22, cond=pat, corr=True)
+        cov = variance_matrix(5, GARMA22, cond=pat).entries
+        sd = np.sqrt(np.diag(cov))
+        assert vm.index_labels == (2, 3, 5)
+        assert np.array_equal(np.diag(vm.entries), np.ones(3))
+        assert np.allclose(vm.entries, cov / np.outer(sd, sd), rtol=0.0, atol=1e-15)
+
     def test_conditional_shrinks_variance(self):
         pat = build_pattern(condvals=[0.0, np.nan, np.nan, 0.0])
         vm = variance_matrix(4, GARMA22, cond=pat)

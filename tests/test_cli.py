@@ -128,6 +128,16 @@ class TestVar:
         # outer pair independent.
         assert np.array_equal(matrix, np.eye(2))
 
+    def test_conditional_correlation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "var", "--n", "3", "--ar", "0.5", "--condvals", "NA,NA,0", "--corr"
+        )
+        assert code == 0
+        matrix = np.array([[float(tok) for tok in row] for row in parse_csv(out)])
+        # Given x3: var(x1) = 5/4, var(x2) = 1 and cov(x1, x2) = 1/2.
+        assert np.array_equal(np.diag(matrix), np.ones(2))
+        assert matrix[0, 1] == pytest.approx(0.5 / np.sqrt(1.25), abs=1e-15)
+
     def test_condvals_from_file(self, capsys, tmp_path):
         cv = tmp_path / "cv.csv"
         cv.write_text("NA,0,NA\n")
@@ -524,6 +534,7 @@ class TestFlagValues:
             (("cdf",), "--tol", "-0.5"),
             (("cdf",), "--tol", "nan"),
             (("cdf",), "--tol", "inf"),
+            (("cdf",), "--tol", "-1e-5"),
         ],
     )
     def test_value_out_of_range(self, capsys, tmp_path, argv, flag, value):
@@ -534,6 +545,24 @@ class TestFlagValues:
         code, out, err = run_cli(capsys, *argv, flag, value)
         assert (code, out) == (1, "")
         assert err == f"usage error: argument {flag}: must be finite and > 0, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("acf", "--n", "3", "--ar", "-0.5,0.2"), 0),
+            (("acf", "--n", "3", "--ma", "-1e-3"), 0),
+            (("var", "--n", "3", "--condvals", "-1,NA,2"), 0),
+            (("cdf", "--input", "x.csv", "--tol", "-1e-5"), 1),
+        ],
+    )
+    def test_negative_value_after_flag(self, capsys, argv, code):
+        # A value starting with '-' and a digit belongs to the flag before it,
+        # exactly as in the --flag=value spelling.
+        spaced = run_cli(capsys, *argv)
+        joined = run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert spaced == joined
+        assert spaced[0] == code
+        assert "expected one argument" not in spaced[2]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -401,6 +401,21 @@ class TestPgarma:
         se = math.sqrt(p * (1 - p) / draws.shape[0])
         assert abs(hits - p) <= 4 * se
 
+    @pytest.mark.parametrize("spec", [AR1, ArmaSpec(ar=(0.99,)), ArmaSpec(ar=(-0.96,)), WHITE])
+    def test_two_free_rows_do_not_interact(self, spec):
+        # One call on 64 rows gives each row exactly its one-row value.
+        rows = np.random.default_rng(64).normal(scale=8.0, size=(64, 2))
+        values = pgarma(rows, spec)
+        assert np.array_equal(values, [pgarma(row, spec)[0] for row in rows])
+
+    def test_huge_finite_limit(self):
+        # Far past where the normal CDF is 1, a limit stops constraining.
+        spec = ArmaSpec(ar=(0.99,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pgarma([1e200, 0.5], spec)[0]
+        assert value == norm.cdf(0.5 / math.sqrt(variance_matrix(1, spec).entries[0, 0]))
+
     def test_batch_rows(self):
         rows = np.array([[0.0, 0.0], [1.0, 1.0]])
         values = pgarma(rows, AR1)

@@ -184,6 +184,18 @@ class TestConditionalMoments:
         cm = mvn.conditional_moments(params, pattern, values=[2.0])
         assert cm.cond_mean == pytest.approx([1.0], abs=1e-12)
 
+    def test_values_full_length(self):
+        # One value per position: only the conditioned ones are read.
+        params = mvn.GaussianParams(mean=[0.0, 0.0, 0.0], cov=equicorr(3, 0.4))
+        pattern = build_pattern(missing=[False] * 3, cond_flags=[True, False, True])
+        full = mvn.conditional_moments(params, pattern, values=[2.0, 99.0, -1.0])
+        short = mvn.conditional_moments(params, pattern, values=[2.0, -1.0])
+        bound = mvn.conditional_moments(params, build_pattern(condvals=[2.0, np.nan, -1.0]))
+        for cm in (short, bound):
+            assert np.array_equal(full.cond_mean, cm.cond_mean)
+            assert np.array_equal(full.cond_cov, cm.cond_cov)
+        assert full.cond_mean == pytest.approx([(2.0 - 1.0) * 0.4 / 1.4], abs=1e-15)
+
     @pytest.mark.parametrize("count", [1, 5])
     def test_values_length_checked_without_conditioning(self, count):
         params = mvn.GaussianParams(mean=np.zeros(3), cov=np.eye(3))
@@ -319,24 +331,41 @@ class TestMvnCdf:
                 assert cdf(rho) == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-15)
 
     def test_bivariate_continuous_across_zero_limit(self):
-        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, 0.6))
-        for k in (-1.5, 1.5):
-            at_zero = mvn.mvn_cdf([0.0, k], params).value
-            for tiny in (1e-300, -1e-300, 5e-324, -5e-324):
-                assert mvn.mvn_cdf([tiny, k], params).value == pytest.approx(at_zero, abs=1e-15)
+        for rho in (0.6, 0.95, -0.95):
+            params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, rho))
+            for k in (-1.5, 1.5):
+                at_zero = mvn.mvn_cdf([0.0, k], params).value
+                for tiny in (1e-300, -1e-300, 5e-324, -5e-324):
+                    value = mvn.mvn_cdf([tiny, k], params).value
+                    assert value == pytest.approx(at_zero, abs=1e-15), (rho, k, tiny)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95, -0.95, 1.0, -1.0])
+    def test_bivariate_huge_finite_limits(self, rho):
+        # Limits far past where the normal CDF is 0 or 1 act like infinite ones.
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mvn.mvn_cdf([1e200, 0.5], params).value == float(ndtr(0.5))
+            assert mvn.mvn_cdf([0.5, 1e200], params).value == float(ndtr(0.5))
+            assert mvn.mvn_cdf([1e200, 1e200], params).value == 1.0
+            assert mvn.mvn_cdf([-1e200, 0.5], params).value == 0.0
 
     @pytest.mark.parametrize("h, k", [(-10.0, -10.0), (-20.0, -20.0), (-10.0, 5.0), (3.0, -12.0)])
     def test_bivariate_independent_lower_tail_relative(self, h, k):
         # Far below the 1e-14 absolute bound: the error must be small relative
         # to the value, so a log-probability stays finite and accurate.
         value = mvn.mvn_cdf([h, k], mvn.GaussianParams([0.0, 0.0], np.eye(2))).value
-        assert value == pytest.approx(float(ndtr(h) * ndtr(k)), rel=1e-12)
+        assert value == pytest.approx(float(ndtr(h) * ndtr(k)), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("h, k, rho", [(-10.0, -10.0, 0.5), (-5.0, -8.0, 0.5),
-                                           (-10.0, 5.0, 0.9), (-10.0, -10.0, 0.99)])
+                                           (-10.0, 5.0, 0.9), (-10.0, -10.0, 0.99),
+                                           (-20.0, -20.0, 0.95), (-20.0, -20.0, 0.5)])
     def test_bivariate_correlated_lower_tail_relative(self, h, k, rho):
         value = mvn.mvn_cdf([h, k], mvn.GaussianParams([0.0, 0.0], equicorr(2, rho))).value
-        assert value == pytest.approx(plackett_bvn_cdf(h, k, rho), rel=1e-11)
+        # abs=0: approx's default absolute 1e-12 would pass any value this small.
+        # At -20 (values near 1e-100) the rule's error is about 1e-8 relative.
+        rel = 1e-6 if h <= -20.0 else 1e-11
+        assert value == pytest.approx(plackett_bvn_cdf(h, k, rho), rel=rel, abs=0.0)
 
     def test_bivariate_symmetry(self):
         params = mvn.GaussianParams(mean=[0.0, 0.0], cov=equicorr(2, 0.7))
@@ -403,6 +432,12 @@ class TestMvnCdf:
         high = mvn.mvn_cdf([40.0] * 3, params, seed=2)
         assert low.value <= 1e-12
         assert high.value >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("cov", [[[0.0]], [[1.0, 0.0], [0.0, 0.0]], np.diag([1.0, 0.0, 1.0])])
+    def test_zero_variance_rejected(self, cov):
+        params = mvn.GaussianParams(mean=np.zeros(len(cov)), cov=cov)
+        with pytest.raises(NotPositiveDefiniteError, match="non-positive diagonal"):
+            mvn.mvn_cdf(np.full(len(cov), 0.5), params)
 
     def test_nan_upper_rejected(self):
         params = mvn.GaussianParams(mean=np.zeros(2), cov=np.eye(2))

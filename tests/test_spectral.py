@@ -265,6 +265,10 @@ class TestSpectrumTest:
         with pytest.raises(ZeroVarianceError):
             spectrum_test(np.ones(10), sims=10, seed=1, progress=False)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(EmptyInputError):
+            spectrum_test([], sims=10, seed=1, progress=False)
+
     def test_short_series_rejected(self):
         with pytest.raises(InvalidParamError):
             spectrum_test([1.0, 2.0], sims=10, seed=1, progress=False)
