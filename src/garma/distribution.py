@@ -28,7 +28,6 @@ import warnings
 
 import numpy as np
 
-# scipy is imported inside the functions that use it (see garma.mvn).
 from .arma import (
     ArmaSpec,
     _acvf,
@@ -53,6 +52,7 @@ from .mvn import (
     _LOG_2PI,
     DEFAULT_CDF_SEED,
     _free_moments,
+    _kernels,
     _rectangle_cdf,
 )
 
@@ -194,8 +194,7 @@ def _filter_log_density(dev, observed, model):
     for all rows (at an unobserved ``t``, ``v[t]`` is minus the prediction),
     solved by LAPACK's triangular banded solver.
     """
-    from scipy.linalg.lapack import dtbtrs
-
+    dtbtrs = _kernels().dtbtrs
     pred, gains, index = _filter(observed, model)
     phi = model[0][:, 0]
     band = np.empty((phi.size + 1, observed.size))
@@ -303,13 +302,8 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     free_idx, cond_means, cond_cov = _free_moments(
         np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
     )
-    results = _rectangle_cdf(
-        rows[:, free_idx] - cond_means,
-        cond_cov,
-        tol,
-        seed,
-        _DEFAULT_MAX_POINTS,
-    )
+    results = _rectangle_cdf(rows[:, free_idx], cond_means, cond_cov, tol, seed,
+                             _DEFAULT_MAX_POINTS)
     out = np.array([r.value for r in results])
     return np.log(out) if log else out
 
@@ -372,8 +366,7 @@ def _conditional_draw(dev, cond, model, z):
     then come from one unit lower-triangular banded solve in the unknowns
     ``y[0], v[0], y[1], v[1], ...``, with ``v[t]`` the filter innovation.
     """
-    from scipy.linalg.lapack import dtbtrs
-
+    dtbtrs = _kernels().dtbtrs
     transition, q_cov, _ = model
     r, m = transition.shape[0], cond.size
     phi = transition[:, 0]

@@ -12,9 +12,12 @@ separation-of-variables transform in three or more.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +47,14 @@ __all__ = [
     "sample",
 ]
 
-# scipy is imported inside the functions that use it, so `import garma`
-# loads numpy alone: scipy.linalg or scipy.special takes longer to import than
-# a CLI command like acf, intensity or spectrum-test takes to run, and those
-# use neither.  scipy.linalg serves the triangular solves here and the banded
-# ones of dgarma and rgarma, scipy.special the normal CDF and its inverse.
-# No function loads scipy.stats: the quasi-Monte Carlo path builds its own
-# scrambled Sobol points and reads only the direction-number table that
-# scipy ships.  Importing a module that is already loaded costs about a
-# microsecond.
+# `import garma` loads numpy alone: scipy.linalg or scipy.special takes longer
+# to import than a CLI command like acf takes to run.  The density, sampler,
+# conditioning and 1-D and 2-D CDF need three compiled kernels, which
+# :func:`_kernels` loads from scipy's extension files, falling back to the
+# public imports; only a CDF with three or more free positions imports
+# scipy.special, for ndtri.  No function loads scipy.stats: the quasi-Monte
+# Carlo path builds its own scrambled Sobol points and reads only the
+# direction-number table that scipy ships.
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,6 +66,65 @@ _INFLATION_EPS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 DEFAULT_CDF_SEED = 1000003
 _DEFAULT_MAX_POINTS = 10_000_000
 _QMC_BATCHES = 10
+
+
+_Kernels = namedtuple("_Kernels", "dtbtrs dtrtrs ndtr")
+
+
+@functools.lru_cache(maxsize=1)
+def _kernels():
+    """LAPACK's ``dtbtrs`` and ``dtrtrs`` and the normal CDF ``ndtr``, from
+    scipy's extension files ``linalg/_flapack`` and ``special/_special_ufuncs``
+    without the packages around them, which take hundreds of milliseconds to
+    import.  Each file registers itself under its own name, so a later
+    ``import scipy.linalg`` reuses it and hands out these very objects.  Where
+    a file is missing or will not load (scipy 1.9 has no ``_special_ufuncs``),
+    all three come from the public imports.
+    """
+    import scipy
+
+    root = os.path.dirname(scipy.__file__)
+    try:
+        modules = []
+        for name in ("linalg._flapack", "special._special_ufuncs"):
+            base = os.path.join(root, *name.split("."))
+            path = next(base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.isfile(base + suffix))
+            spec = importlib.util.spec_from_file_location("scipy." + name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            modules.append(module)
+        flapack, special = modules
+        return _Kernels(flapack.dtbtrs, flapack.dtrtrs, special.ndtr)
+    except Exception:  # the public import is the supported path
+        from scipy.linalg.lapack import dtbtrs, dtrtrs
+        from scipy.special import ndtr
+
+        return _Kernels(dtbtrs, dtrtrs, ndtr)
+
+
+def _solve_lower(factor, rhs):
+    """``factor^-1 @ rhs`` for a lower-triangular Cholesky ``factor``, by
+    LAPACK's ``dtrtrs``.
+
+    A column of ``rhs`` with a NaN or an infinity raises
+    :class:`InvalidParamError`, which calls column ``j`` row ``j + 1``: the
+    callers pass rows of values minus the mean as columns.
+    """
+    finite = np.isfinite(rhs).all(axis=0)
+    if not finite.all():
+        raise InvalidParamError(
+            f"values must be finite: row {int(np.argmin(finite)) + 1} minus the mean is not"
+        )
+    if rhs.size == 0:  # LAPACK rejects a system of order 0
+        return np.zeros(rhs.shape)
+    # The transpose of the C-ordered factor is an upper factor in Fortran
+    # order, which LAPACK reads in place; scipy's solve_triangular makes the
+    # same call.
+    x, info = _kernels().dtrtrs(factor.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"triangular solve failed: LAPACK dtrtrs info {info}")
+    return x
 
 
 def _check_square_sym(cov):
@@ -195,10 +256,8 @@ def log_density(x, params: GaussianParams):
         raise DimensionMismatchError(
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
-    from scipy.linalg import solve_triangular
-
     factor = cholesky(p.cov)
-    z = solve_triangular(factor, (rows - p.mean).T, lower=True)
+    z = _solve_lower(factor, (rows - p.mean).T)
     quad = np.einsum("ij,ij->j", z, z)
     out = -0.5 * p.dim * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
     return float(out[0]) if single else out
@@ -228,13 +287,11 @@ def _free_moments(mean, cov, state, value_rows):
         if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
             return free_idx, means, cov
         return free_idx, means, cov[np.ix_(free_idx, free_idx)]
-    from scipy.linalg import solve_triangular
-
     factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
-    cross = solve_triangular(factor, cov[np.ix_(cond_idx, free_idx)], lower=True)
+    cross = _solve_lower(factor, cov[np.ix_(cond_idx, free_idx)])
     cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    dev = solve_triangular(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T, lower=True)
+    dev = _solve_lower(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T)
     return free_idx, mean[free_idx] + (cross.T @ dev).T, cond_cov
 
 
@@ -297,8 +354,7 @@ def _bvn_cdf(z, r):
     |r| = 1.  Limits are clamped to +-40, past which every term is 0 or 1 in
     double precision.  Each row sums its own nodes: no row depends on another.
     """
-    from scipy.special import ndtr
-
+    ndtr = _kernels().ndtr
     h, k = -z.clip(-40.0, 40.0).T[:, :, None]  # Genz's P(X > h, Y > k)
     hk = h * k
     if abs(r) < 0.925:
@@ -344,8 +400,7 @@ def _ordered_cholesky(corr, upper):
     """Cholesky factor with variables reordered so that the most sharply
     truncated coordinates come first, which concentrates the integrand's
     variation in the leading quasi-Monte Carlo dimensions."""
-    from scipy.special import ndtr
-
+    ndtr = _kernels().ndtr
     n = len(upper)
     c = np.array(corr, dtype=float)
     u = np.array(upper, dtype=float)
@@ -463,8 +518,9 @@ def _sobol_points(directions, shift, m):
 
 def _sov_mean(ell, u, pts):
     """Average of the separation-of-variables integrand over unit-cube points."""
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
 
+    ndtr = _kernels().ndtr
     n = len(u)
     e = np.full(pts.shape[0], float(ndtr(u[0] / ell[0, 0])))
     pv = e.copy()
@@ -519,23 +575,26 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     return [results[row] for row in range(len(factors))]
 
 
-def _rectangle_cdf(dev, cov, tol, seed, max_points):
-    """P(X - mean <= dev) for X ~ N(mean, cov), one :class:`CdfResult` per
-    row of the finite matrix ``dev``.
+def _rectangle_cdf(upper, mean, cov, tol, seed, max_points):
+    """P(X <= upper) for X ~ N(mean, cov), one :class:`CdfResult` per row of
+    the finite matrix ``upper``; ``mean`` has one row per row, or one for all.
 
     One dimension is the normal CDF, two one :func:`_bvn_cdf` call for all
     rows, three or more quasi-Monte Carlo on point sets shared by all rows.
     """
-    from scipy.special import ndtr
-
     var = np.diag(cov)
     if not (var > 0.0).all():
         raise NotPositiveDefiniteError("covariance has a non-positive diagonal entry")
     sd = np.sqrt(var)
-    z = dev / sd
+    # Where upper - mean or its ratio to sd overflows, the limit lies so far
+    # out that its probability is exactly 0 or 1, which every path below
+    # gives an infinite limit.  Clamping upper to mean +- k sd instead would
+    # lose the side of the limit wherever mean +- k sd rounds to the mean.
+    with np.errstate(over="ignore"):
+        z = (upper - mean) / sd
     if sd.size == 1:
         return [CdfResult(value=v, error_estimate=1e-16, method="closed_form_1d")
-                for v in ndtr(z[:, 0])]
+                for v in _kernels().ndtr(z[:, 0])]
     if sd.size == 2:
         rho = min(max(float(cov[0, 1] / (sd[0] * sd[1])), -1.0), 1.0)  # as _cov_to_corr
         return [CdfResult(value=v, error_estimate=1e-14, method="quadrature_2d")
@@ -577,8 +636,8 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     keep = np.nonzero(np.isfinite(u))[0]
     if keep.size == 0:
         return CdfResult(value=1.0, error_estimate=0.0, method="closed_form_1d")
-    dev = (u[keep] - p.mean[keep])[None, :]
-    return _rectangle_cdf(dev, p.cov[np.ix_(keep, keep)], tol, seed, max_points)[0]
+    return _rectangle_cdf(u[None, keep], p.mean[keep], p.cov[np.ix_(keep, keep)],
+                          tol, seed, max_points)[0]
 
 
 def _sample(mean, factor, count, seed):

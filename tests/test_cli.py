@@ -62,8 +62,8 @@ class TestAcf:
         code, out, _ = run_cli(capsys, "acf", "--n", "3", "--ar", "0.5")
         assert code == 0
         values = [float(tok) for tok in parse_csv(out)[0]]
-        assert values[0] == pytest.approx(4 / 3, rel=1e-12)
-        assert values[1] == pytest.approx(2 / 3, rel=1e-12)
+        assert values[0] == pytest.approx(4 / 3, rel=1e-12, abs=0.0)
+        assert values[1] == pytest.approx(2 / 3, rel=1e-12, abs=0.0)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -72,7 +72,7 @@ class TestAcf:
         assert code == 0
         payload = json.loads(out)
         assert payload["labels"] == ["Lag[0]", "Lag[1]"]
-        assert payload["values"][0] == pytest.approx(4 / 3, rel=1e-12)
+        assert payload["values"][0] == pytest.approx(4 / 3, rel=1e-12, abs=0.0)
         assert payload["warnings"] == []
 
     def test_missing_n_is_usage_error(self, capsys):
@@ -203,7 +203,7 @@ class TestDensity:
 
         # X2 | X1=2 for the lag-one model is N(1, 1).
         assert float(parse_csv(out)[0][0]) == pytest.approx(
-            norm.pdf(0.5, loc=1.0, scale=1.0), rel=1e-10
+            norm.pdf(0.5, loc=1.0, scale=1.0), rel=1e-10, abs=0.0
         )
 
     def test_cond_index_value_overrides_row(self, capsys, tmp_path):
@@ -215,7 +215,7 @@ class TestDensity:
         from scipy.stats import norm
 
         assert float(parse_csv(out)[0][0]) == pytest.approx(
-            norm.pdf(0.5, loc=0.0, scale=1.0), rel=1e-10
+            norm.pdf(0.5, loc=0.0, scale=1.0), rel=1e-10, abs=0.0
         )
 
     def test_all_conditioned_warning_in_json(self, capsys, tmp_path):
@@ -413,7 +413,7 @@ class TestIntensity:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows[0]) == 4  # full frequency range
-        assert float(rows[0][0]) == pytest.approx(10 / 2, rel=1e-12)  # |sum|/sqrt(n)
+        assert float(rows[0][0]) == pytest.approx(10 / 2, rel=1e-12, abs=0.0)  # |sum|/sqrt(n)
 
     def test_constant_series_error(self, capsys, tmp_path):
         path = tmp_path / "x.csv"

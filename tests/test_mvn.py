@@ -1,6 +1,10 @@
 """Tests for the multivariate-normal engine."""
 
+import importlib.util
 import math
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import garma
 from garma import (
     AllConditionedError,
     ArmaSpec,
@@ -135,6 +140,20 @@ class TestLogDensity:
         assert math.exp(value) == 0.0  # plain density underflows
         assert value == pytest.approx(30 * (-0.5 * math.log(2 * math.pi) - 32.0))
 
+    def test_empty_system(self):
+        empty = mvn.GaussianParams(mean=np.zeros(0), cov=np.zeros((0, 0)))
+        assert mvn.log_density(np.zeros(0), empty) == 0.0
+        no_rows = mvn.log_density(np.zeros((0, 2)), mvn.GaussianParams(np.zeros(2), np.eye(2)))
+        assert no_rows.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_typed(self, bad):
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=AR1_COV2)
+        with pytest.raises(InvalidParamError, match="row 1 minus"):
+            mvn.log_density([bad, 0.0], params)
+        with pytest.raises(InvalidParamError, match="row 2 minus"):
+            mvn.log_density([[0.0, 0.0], [0.0, bad], [bad, 0.0]], params)
+
 
 class TestConditionalMoments:
     def test_ar1_closed_form(self):
@@ -208,6 +227,22 @@ class TestConditionalMoments:
         pattern = build_pattern(missing=[False, False], cond_flags=[True, False])
         with pytest.raises(CondOnMissingError):
             mvn.conditional_moments(params, pattern)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conditioned_value_is_typed(self, bad):
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=AR1_COV2)
+        pattern = build_pattern(missing=[False, False], cond_flags=[True, False])
+        with pytest.raises(CondOnMissingError):
+            mvn.conditional_moments(params, pattern, values=[bad])
+
+    def test_conditioned_deviation_overflow_is_typed(self):
+        # The value and the mean are finite; their difference is not.
+        params = mvn.GaussianParams(mean=[-1e308, 0.0], cov=AR1_COV2)
+        pattern = build_pattern(missing=[False, False], cond_flags=[True, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InvalidParamError, match="row 1 minus"):
+                mvn.conditional_moments(params, pattern, values=[1e308])
 
     def test_all_conditioned_errors(self):
         params = mvn.GaussianParams(mean=[0.0, 0.0], cov=AR1_COV2)
@@ -349,6 +384,26 @@ class TestMvnCdf:
             assert mvn.mvn_cdf([0.5, 1e200], params).value == float(ndtr(0.5))
             assert mvn.mvn_cdf([1e200, 1e200], params).value == 1.0
             assert mvn.mvn_cdf([-1e200, 0.5], params).value == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_limit_overflowing_its_standard_deviation(self):
+        # 1e308 / 0.5 overflows: a limit that far out adds nothing.
+        params = mvn.GaussianParams([0.0, 0.0], [[0.25, 0.1], [0.1, 0.25]])
+        assert mvn.mvn_cdf([1e308, 0.5], params).value == float(ndtr(1.0))
+        assert mvn.mvn_cdf([0.5, -1e308], params).value == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_limit_minus_mean_overflowing(self):
+        assert mvn.mvn_cdf([1e308], mvn.GaussianParams([-1e308], [[1.0]])).value == 1.0
+        assert mvn.mvn_cdf([-1e308], mvn.GaussianParams([1e308], [[1.0]])).value == 0.0
+        cov = equicorr(3, 0.4)
+        far = mvn.mvn_cdf([1e308, 0.3, -0.2], mvn.GaussianParams([-1e308, 0.0, 0.0], cov))
+        finite = mvn.mvn_cdf([1e300, 0.3, -0.2], mvn.GaussianParams(np.zeros(3), cov))
+        assert (far.value, far.error_estimate) == (finite.value, finite.error_estimate)
+        empty = mvn.mvn_cdf([-1e308, 0.3, -0.2], mvn.GaussianParams([1e308, 0.0, 0.0], cov))
+        assert empty.value == 0.0
+        assert garma.pgarma([1e308], ArmaSpec(mean=-1e308))[0] == 1.0
+        assert garma.pgarma([-1e308, 0.2], ArmaSpec(ar=(0.5,), mean=1e308))[0] == 0.0
 
     @pytest.mark.parametrize("h, k", [(-10.0, -10.0), (-20.0, -20.0), (-10.0, 5.0), (3.0, -12.0)])
     def test_bivariate_independent_lower_tail_relative(self, h, k):
@@ -520,17 +575,76 @@ class TestSobolPoints:
         params = mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3))
         result = mvn.mvn_cdf([0.5, -0.2, 1.0, 0.0], params, seed=99)
         assert result.value == pytest.approx(0.20350045756446494, rel=1e-12, abs=0)
-        assert result.error_estimate == pytest.approx(2.2515176603478164e-06, rel=1e-9)
+        assert result.error_estimate == pytest.approx(2.2515176603478164e-06, rel=1e-9, abs=0.0)
         cov = 0.6 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
         result = mvn.mvn_cdf([0.3, -0.4, 0.8, 0.1, -0.2, 0.5],
                              mvn.GaussianParams(np.zeros(6), cov), tol=1e-4)
         assert result.value == pytest.approx(0.11819172595966398, rel=1e-12, abs=0)
-        assert result.error_estimate == pytest.approx(2.0714338839225573e-06, rel=1e-9)
+        assert result.error_estimate == pytest.approx(2.0714338839225573e-06, rel=1e-9, abs=0.0)
 
     def test_too_many_dimensions_is_typed(self):
         assert mvn._sobol_table()[0].shape == (21201,)
         with pytest.raises(InvalidParamError, match="at most 21201 dimensions, got 21202"):
             mvn._sobol_scramble(np.random.default_rng(0), 21202)
+
+
+class TestKernels:
+    """The compiled scipy kernels, from scipy's extension files or else from
+    the public imports."""
+
+    @staticmethod
+    def _values():
+        spec = ArmaSpec(ar=(0.6, -0.2), ma=(0.4,), mean=0.3, error_var=1.5)
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(3, 12))
+        flags = np.zeros(12, dtype=bool)
+        flags[[2, 7]] = True
+        condvals = np.where(flags, rows[0], np.nan)
+        pattern = build_pattern(condvals=condvals)
+        out = [garma.dgarma(rows, spec, cond=flags, log=True),
+               garma.rgarma(4, 12, spec, condvals=condvals, seed=3),
+               variance_matrix(12, spec, cond=pattern).entries,
+               mvn.log_density(rows[:, :4], mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3)))]
+        for free in (1, 2, 5):
+            out.append(garma.pgarma(rows[:, :free], spec))
+            out.append(garma.pgarma(rows[:, :free + 2], spec, cond=[True, True] + [False] * free))
+        return out
+
+    def test_fallback_gives_identical_values(self, monkeypatch):
+        fast = self._values()
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args[0])
+            raise ImportError("no extension file")
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+        mvn._kernels.cache_clear()
+        try:
+            public = self._values()
+        finally:
+            monkeypatch.undo()
+            mvn._kernels.cache_clear()
+        assert calls == ["scipy.linalg._flapack"]
+        for got, want in zip(public, fast):
+            assert got.tobytes() == want.tobytes()
+
+    def test_public_import_afterwards(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from garma import mvn
+            kernels = mvn._kernels()
+            import scipy.linalg, scipy.special
+            from scipy.linalg import lapack
+            solved = scipy.linalg.solve_triangular(np.array([[2.0, 0.0], [1.0, 1.0]]),
+                                                   np.array([2.0, 2.0]), lower=True)
+            print(lapack.dtbtrs is kernels.dtbtrs, lapack.dtrtrs is kernels.dtrtrs,
+                  scipy.special.ndtr is kernels.ndtr, solved.tolist(),
+                  float(scipy.special.ndtr(0.0)))
+        """)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True", "True", "[1.0,", "1.0]", "0.5"]
 
 
 class TestSample:

@@ -102,7 +102,7 @@ class TestIntensity:
         assert k == 8
         # The two mirror frequencies split the whole energy budget, so the
         # retained one carries dof/2.
-        assert iv.values[8] ** 2 == pytest.approx(iv.dof / 2, rel=1e-9)
+        assert iv.values[8] ** 2 == pytest.approx(iv.dof / 2, rel=1e-9, abs=0.0)
         rest = np.delete(iv.values, 8)
         assert np.max(rest) < 1e-6
 
