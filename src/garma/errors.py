@@ -1,4 +1,4 @@
-"""Exception and warning types and the seed, count and tolerance checks of the package."""
+"""Exception and warning types and the seed, count, tolerance and finite checks of the package."""
 
 import math
 import numbers
@@ -158,3 +158,12 @@ def _check_tol(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise InvalidParamError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def _check_finite(dev, name=None):
+    """:class:`InvalidParamError` unless each row of ``dev`` (values minus their
+    mean, along the last axis) is finite, naming ``name`` or the first bad row."""
+    finite = np.isfinite(dev).all(axis=-1)
+    if not finite.all():
+        where = name or f"row {int(np.argmin(finite)) + 1}"
+        raise InvalidParamError(f"values must be finite: {where} minus the mean is not")

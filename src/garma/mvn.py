@@ -31,6 +31,7 @@ from .errors import (
     NumericalAdjustmentWarning,
     ToleranceNotReachedError,
     _check_count,
+    _check_finite,
     _check_seed,
     _check_tol,
 )
@@ -111,11 +112,7 @@ def _solve_lower(factor, rhs):
     :class:`InvalidParamError`, which calls column ``j`` row ``j + 1``: the
     callers pass rows of values minus the mean as columns.
     """
-    finite = np.isfinite(rhs).all(axis=0)
-    if not finite.all():
-        raise InvalidParamError(
-            f"values must be finite: row {int(np.argmin(finite)) + 1} minus the mean is not"
-        )
+    _check_finite(rhs.T)
     if rhs.size == 0:  # LAPACK rejects a system of order 0
         return np.zeros(rhs.shape)
     # The transpose of the C-ordered factor is an upper factor in Fortran
@@ -257,7 +254,8 @@ def log_density(x, params: GaussianParams):
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
     factor = cholesky(p.cov)
-    z = _solve_lower(factor, (rows - p.mean).T)
+    with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
+        z = _solve_lower(factor, (rows - p.mean).T)
     quad = np.einsum("ij,ij->j", z, z)
     out = -0.5 * p.dim * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
     return float(out[0]) if single else out
@@ -291,7 +289,8 @@ def _free_moments(mean, cov, state, value_rows):
     cross = _solve_lower(factor, cov[np.ix_(cond_idx, free_idx)])
     cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
     cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    dev = _solve_lower(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T)
+    with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
+        dev = _solve_lower(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T)
     return free_idx, mean[free_idx] + (cross.T @ dev).T, cond_cov
 
 

@@ -41,7 +41,7 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
-from garma import distribution
+from garma import _statespace, distribution
 from conftest import (
     acvf_oracle,
     ar1_bridge_sample,
@@ -662,8 +662,8 @@ class TestKalmanEngine:
             observed[start:start + max(cut, m // 2)] = False
         observed[rng.integers(m)] = True
 
-        model = distribution._state_space(spec, validate_stationary(spec))
-        pred, gains, index = distribution._filter(observed, model)
+        model = _statespace._state_space(spec, validate_stationary(spec))
+        pred, gains, index = _statespace._filter(observed, model)
         want_f, want_k = kalman_reference(spec, observed)
         got_f = pred[index[observed], 0, 0]
         assert np.all(np.abs(got_f - want_f[observed]) <= 1e-10 * want_f[observed])
@@ -707,10 +707,10 @@ class TestKalmanEngine:
 
     def test_non_positive_prediction_variance_raises(self):
         spec = ArmaSpec(ar=(0.5,), ma=(0.3,))
-        transition, q_cov, p0 = distribution._state_space(spec, np.array([2.0]))
+        transition, q_cov, p0 = _statespace._state_space(spec, np.array([2.0]))
         model = (transition, q_cov, -p0)
         with pytest.raises(NotPositiveDefiniteError):
-            distribution._filter_log_density(np.zeros((1, 4)), np.ones(4, dtype=bool), model)
+            _statespace._filter_log_density(np.zeros((1, 4)), np.ones(4, dtype=bool), model)
 
     def test_import_and_non_cdf_command_do_not_load_scipy_stats(self, tmp_path):
         # scipy loads on first use only: none for the import and the commands
@@ -872,8 +872,8 @@ class TestSequentialSampler:
 
     def test_powers_flush_to_zero_never_subnormal(self):
         moduli = validate_stationary(GARMA22)
-        transition, q_cov, _ = distribution._state_space(GARMA22, moduli)
-        powers, covs = distribution._power_table(transition, q_cov, 10_000)
+        transition, q_cov, _ = _statespace._state_space(GARMA22, moduli)
+        powers, covs = _statespace._power_table(transition, q_cov, 10_000)
         assert 1 < len(powers) < 10_000
         assert not np.any((powers != 0.0) & (np.abs(powers) < np.finfo(float).tiny))
         assert np.all(np.isfinite(covs))
@@ -886,7 +886,7 @@ class TestSequentialSampler:
         def negative(info, lin, power, cov):
             return -10.0 * np.ones_like(info), np.zeros_like(lin)
 
-        monkeypatch.setattr(distribution, "_cross", negative)
+        monkeypatch.setattr(_statespace, "_cross", negative)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefiniteError, match="at position 1 "):
@@ -1059,3 +1059,28 @@ class TestCountRule:
         with pytest.raises(InvalidParamError, match=f"^{name} must be a .* integer, got "):
             COUNTED[entry](value)
         COUNTED[entry](np.int64(2))
+
+
+class TestDeviationOverflow:
+    """A finite value minus a finite mean that overflows is a typed error, not
+    a NaN after a RuntimeWarning (which pyproject.toml makes an error)."""
+
+    SPEC = ArmaSpec(ar=(0.5,), mean=-1e308)
+
+    def test_dgarma_kept_position(self):
+        with pytest.raises(InvalidParamError, match="row 1 minus the mean"):
+            dgarma([1e308, 0.3, 0.1], self.SPEC)
+
+    def test_dgarma_conditioned_position_names_its_row(self):
+        rows = [[0.2, 0.3, 0.1], [1e308, 0.3, 0.1]]
+        with pytest.raises(InvalidParamError, match="row 2 minus the mean"):
+            dgarma(rows, self.SPEC, cond=[True, False, False])
+
+    def test_rgarma_condvals(self):
+        with pytest.raises(InvalidParamError, match="condvals minus the mean"):
+            rgarma(2, 3, self.SPEC, condvals=[1e308, np.nan, np.nan], seed=1)
+
+    def test_conditioned_pgarma(self):
+        with pytest.raises(InvalidParamError, match="row 1 minus the mean"):
+            pgarma([1e308, 0.3, 0.1], self.SPEC, cond=[True, False, False])
+

@@ -154,6 +154,12 @@ class TestLogDensity:
         with pytest.raises(InvalidParamError, match="row 2 minus"):
             mvn.log_density([[0.0, 0.0], [0.0, bad], [bad, 0.0]], params)
 
+    def test_deviation_overflow_is_typed(self):
+        # Under the error::RuntimeWarning filter: no overflow warning first.
+        params = mvn.GaussianParams([-1e308, 0.0], np.eye(2))
+        with pytest.raises(InvalidParamError, match="row 1 minus"):
+            mvn.log_density([1e308, 0.0], params)
+
 
 class TestConditionalMoments:
     def test_ar1_closed_form(self):
@@ -243,6 +249,12 @@ class TestConditionalMoments:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(InvalidParamError, match="row 1 minus"):
                 mvn.conditional_moments(params, pattern, values=[1e308])
+
+    def test_conditioned_deviation_overflow_does_not_warn(self):
+        params = mvn.GaussianParams(mean=[-1e308, 0.0], cov=AR1_COV2)
+        pattern = build_pattern(missing=[False, False], cond_flags=[True, False])
+        with pytest.raises(InvalidParamError, match="row 1 minus"):
+            mvn.conditional_moments(params, pattern, values=[1e308])
 
     def test_all_conditioned_errors(self):
         params = mvn.GaussianParams(mean=[0.0, 0.0], cov=AR1_COV2)
