@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arma import _acvf, _invertible_ma, _psi_prefix
-from .errors import NotPositiveDefiniteError, _check_finite
-from .mvn import _LOG_2PI, _kernels
+from .arma import _acvf, _ar_recursion, _invertible_ma
+from .errors import InvalidParamError, NotPositiveDefiniteError, _check_finite
+from .mvn import _kernels, _normal_log_density
 
 # Change of the filter covariance, relative to the one-step prediction
 # variance, below which it counts as steady.
@@ -31,12 +31,16 @@ _NEGLIGIBLE = 2.0**-60
 
 def log_density(dev, kept, cond, spec, moduli):
     """``log p(kept) - log p(cond)`` for each row of ``dev`` (rows minus the
-    mean), on one model; a deviation at a ``kept`` position must be finite."""
+    mean); kept deviations must be finite, conditioned ones of nonzero density."""
     _check_finite(dev[:, kept])
     model = _state_space(spec, moduli)
     logdens = _filter_log_density(dev, kept, model)
     if cond.any():
-        logdens -= _filter_log_density(dev, cond, model)
+        given = _filter_log_density(dev, cond, model)
+        bad = np.flatnonzero(np.isinf(given))
+        if bad.size:  # log p(kept) - log p(cond) would be -inf minus -inf
+            raise InvalidParamError(f"the conditioned values of row {bad[0] + 1} have zero density")
+        logdens -= given
     return logdens
 
 
@@ -63,8 +67,7 @@ def _state_space(spec, moduli):
     phi = np.zeros(r)
     phi[:p] = spec.ar
     theta = np.zeros(r)
-    theta[0] = 1.0
-    theta[1:q + 1] = spec.ma
+    theta[:q + 1] = (1.0, *spec.ma)
     on_y = np.zeros((r, r))  # state loadings on y[t], y[t-1], ...
     on_e = np.zeros((r, r))  # ... and on e[t], e[t-1], ...
     on_y[0, 0] = 1.0
@@ -73,7 +76,7 @@ def _state_space(spec, moduli):
         on_e[i, :r - i] = theta[i:]
     lag = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
     cov_y = _acvf(spec, r - 1, moduli)[lag]
-    cov_ye = var * np.triu(_psi_prefix(phi[:p], theta[1:q + 1], r)[lag])
+    cov_ye = var * np.triu(np.array(_ar_recursion(spec.ar, theta.tolist(), 1))[lag])
     cross = on_y @ cov_ye @ on_e.T
     p0 = on_y @ cov_y @ on_y.T + cross + cross.T + var * (on_e @ on_e.T)
     transition = np.eye(r, k=1)
@@ -151,8 +154,9 @@ def _filter_log_density(dev, observed, model):
     for k in np.flatnonzero(phi) + 1:
         rhs[:, k:] -= phi[k - 1] * x[:, :-k]
     innov = dtbtrs(band, rhs.T, uplo="L", diag="U")[0][observed]
-    f = pred[index[observed], 0, 0]
-    return -0.5 * (f.size * _LOG_2PI + np.log(f).sum() + (innov**2 / f[:, None]).sum(axis=0))
+    scale = np.sqrt(pred[index[observed], 0, 0])
+    with np.errstate(over="ignore"):  # an overflow is a zero density
+        return _normal_log_density(innov / scale[:, None], scale)
 
 
 def _power_table(transition, q_cov, count):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,33 +282,37 @@ def _cauchy_bound(spec, moduli):
     For ``1 < r <`` the smallest AR root modulus, ``|psi_k| <= M(r) / r**k``,
     where ``M(r)`` bounds the transfer function on the circle of radius ``r``:
     the MA polynomial from above and each AR factor ``1 - x/root`` from below.
+    ``r`` is the midpoint of 1 and that modulus, uncapped, so far roots give
+    an early truncation; the MA sum is taken in logs, so it cannot overflow.
     """
-    r = min(0.5 * (1.0 + float(moduli.min())), 2.0)
+    r = 0.5 * (1.0 + float(moduli.min()))
     if r <= 1.0:
         raise InvalidParamError(
             "an AR root lies within rounding of the unit circle; "
             "no tail bound exists in double precision"
         )
-    theta = np.asarray(spec.ma, dtype=float)
-    q = spec.q
-    log_num = math.log(1.0 + float(np.abs(theta) @ r ** np.arange(1, q + 1))) if q else 0.0
-    log_den = float(np.sum(np.log1p(-r / moduli)))
-    return r, log_num - log_den
+    logs = [0.0] + [math.log(abs(t)) + j * math.log(r) for j, t in enumerate(spec.ma, 1) if t]
+    top = max(logs)
+    log_num = top + math.log(sum(math.exp(v - top) for v in logs))
+    return r, log_num - float(np.sum(np.log1p(-r / moduli)))
 
 
-def _psi_prefix(phi, theta, count):
-    """``psi[0] .. psi[count-1]`` by the recursion of :func:`psi_weights`, for
-    AR and MA coefficient arrays ``phi`` and ``theta``."""
-    p, q = len(phi), len(theta)
-    weights = np.zeros(count)
-    weights[0] = 1.0
-    for k in range(1, count):
-        acc = theta[k - 1] if k <= q else 0.0
-        mk = min(k, p)
-        if mk:
-            acc += phi[:mk] @ weights[k - mk:k][::-1]
-        weights[k] = acc
-    return weights
+def _first_lag_below(log_bound, log_r, log_tol):
+    """The first ``k >= 0`` with ``log_bound - k * log_r < log_tol``, ``log_r > 0``."""
+    return max(0, math.floor((log_bound - log_tol) / log_r) + 1)
+
+
+def _ar_recursion(phi, x, start):
+    """``x[k] += sum_{i=1..min(k,p)} phi[i-1] * x[k-i]`` for ``k = start ..
+    len(x)-1``, in place on ``x``, a list or ``array("d")``; from ``1, theta[1]
+    .. theta[q], 0, ...`` and ``start = 1`` it gives :func:`psi_weights`."""
+    taps = tuple(enumerate(phi, 1))
+    for k in range(start, len(x)):
+        acc = x[k]
+        for i, c in taps[:k] if k < len(taps) else taps:
+            acc += c * x[k - i]
+        x[k] = acc
+    return x
 
 
 def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
@@ -322,38 +327,29 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     between 1 and the smallest AR root modulus, ``|psi_k| <= M(r) / r**k``
     with ``M(r)`` bounding the transfer function on the circle of radius
     ``r``, so the tail beyond ``K`` is at most ``M(r) * r**-K / (r - 1)``.
+    ``K`` is the first index where that bound is below ``tol``, solved for
+    in closed form, but never less than ``max(p, q)``.
     """
     tol = _check_tol("tol", tol)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
 
-    phi = np.asarray(spec.ar, dtype=float)
-    theta = np.asarray(spec.ma, dtype=float)
-    p, q = spec.p, spec.q
-
-    if moduli.size == 0:
-        # Pure moving average (possibly with all-zero AR coefficients): the
-        # weights are exact and there is no tail.
-        weights = np.concatenate(([1.0], theta))
-        return PsiWeights(weights=weights, truncation_index=q, tail_bound=0.0)
-
-    r, log_m = _cauchy_bound(spec, moduli)
-    log_r = math.log(r)
-    log_tol = math.log(tol)
-    log_gap = math.log(r - 1.0)
-
-    trunc = max(p, q, 8)
-    while log_m - trunc * log_r - log_gap > log_tol:
-        trunc *= 2
-        if trunc > _MAX_PSI_TERMS:
-            raise InvalidParamError(
-                "model is too close to the unit circle to reach the requested "
-                f"tail tolerance {tol:g} within {_MAX_PSI_TERMS} terms"
-            )
-    tail_bound = math.exp(log_m - trunc * log_r - log_gap)
-
-    weights = _psi_prefix(phi, theta, trunc + 1)
-    return PsiWeights(weights=weights, truncation_index=trunc, tail_bound=tail_bound)
+    # A pure moving average (or one with all-zero AR coefficients) has no tail.
+    trunc, log_tail = spec.q, -math.inf
+    if moduli.size:
+        r, log_m = _cauchy_bound(spec, moduli)
+        log_r, log_scale = math.log(r), log_m - math.log(r - 1.0)
+        trunc = max(spec.p, spec.q, _first_lag_below(log_scale, log_r, math.log(tol)))
+        log_tail = log_scale - trunc * log_r
+    if trunc > _MAX_PSI_TERMS:
+        raise InvalidParamError(
+            "model is too close to the unit circle to reach the requested "
+            f"tail tolerance {tol:g} within {_MAX_PSI_TERMS} terms"
+        )
+    # Eight bytes a term, as numpy would take, where a list of floats takes 32.
+    zeros = array("d", bytes(8 * (trunc - spec.q)))
+    weights = _ar_recursion(spec.ar, array("d", [1.0, *spec.ma]) + zeros, 1)
+    return PsiWeights(weights=weights, truncation_index=trunc, tail_bound=math.exp(log_tail))
 
 
 def _dyadic(value):
@@ -455,32 +451,27 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
 def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
     """The values of :func:`autocovariance`, for a model whose AR root moduli
     :func:`validate_stationary` has returned."""
-    phi = spec.ar
-    p, q = spec.p, spec.q
+    phi, p, q = spec.ar, spec.p, spec.q
     theta = np.concatenate(([1.0], spec.ma))
-    psi = _psi_prefix(np.asarray(phi), theta[1:], q + 1)
+    psi = np.array(_ar_recursion(phi, [1.0, *spec.ma], 1))
     c = [float(theta[k:] @ psi[: q + 1 - k]) for k in range(q + 1)]
 
     rhs = np.zeros(p + 1)
     rhs[: min(p, q) + 1] = c[: p + 1]
     head = _solve_head(phi, rhs)
 
-    if moduli.size == 0:
-        flush = q
-    else:
+    flush = q  # a pure moving average ends at lag q
+    if moduli.size:
         r, log_m = _cauchy_bound(spec, moduli)
-        excess = 2.0 * log_m - math.log1p(-(r ** -2)) - math.log(rel_tol * head[0])
-        flush = max(0, math.floor(excess / math.log(r)) + 1)
+        log_bound = 2.0 * log_m - math.log1p(-(r ** -2))
+        flush = _first_lag_below(log_bound, math.log(r), math.log(rel_tol * head[0]))
     stop = min(max_lag, flush)
 
-    g = head[: stop + 1].tolist()
-    for k in range(p + 1, stop + 1):
-        acc = c[k] if k <= q else 0.0
-        for i in range(1, p + 1):
-            acc += phi[i - 1] * g[k - i]
-        g.append(acc)
+    # c[k] for k <= q, zero beyond, under the solved head gamma(0) .. gamma(p).
+    g = (c + [0.0] * stop)[: stop + 1]
+    g[: p + 1] = head[: stop + 1].tolist()
     gamma = np.zeros(max_lag + 1)
-    gamma[: stop + 1] = g
+    gamma[: stop + 1] = _ar_recursion(phi, g, p + 1)
     gamma[np.abs(gamma) < rel_tol * head[0]] = 0.0
     return spec.error_var * gamma
 

@@ -105,7 +105,8 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     once it is steady and crosses each unobserved run in one step, and the
     innovations of every row come from one banded triangular solve.  No
     ``m x m`` matrix is formed.  A non-positive prediction variance raises
-    :class:`NotPositiveDefiniteError`.
+    :class:`NotPositiveDefiniteError`; conditioned values whose density is
+    zero in double precision raise :class:`InvalidParamError`.
 
     The pattern is validated by :func:`garma.build_pattern`: an all-missing
     row raises :class:`AllMarginalisedError` and a flag on a missing position

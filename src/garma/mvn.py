@@ -256,9 +256,15 @@ def log_density(x, params: GaussianParams):
     factor = cholesky(p.cov)
     with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
         z = _solve_lower(factor, (rows - p.mean).T)
-    quad = np.einsum("ij,ij->j", z, z)
-    out = -0.5 * p.dim * _LOG_2PI - float(np.sum(np.log(np.diag(factor)))) - 0.5 * quad
+    out = _normal_log_density(z, np.diag(factor))
     return float(out[0]) if single else out
+
+
+def _normal_log_density(z, scales):
+    """Gaussian log-density of whitened residuals ``z`` (a column per row), whose
+    whitening factor has diagonal ``scales``; an overflow gives ``-inf``."""
+    quad = np.einsum("ij,ij->j", z, z)
+    return -0.5 * z.shape[0] * _LOG_2PI - float(np.log(scales).sum()) - 0.5 * quad
 
 
 def _cov_to_corr(cov):
@@ -639,13 +645,9 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
                           tol, seed, max_points)[0]
 
 
-def _sample(mean, factor, count, seed):
-    z = np.random.default_rng(seed).standard_normal((count, factor.shape[0]))
-    return mean + z @ factor.T
-
-
 def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     """Draw ``count`` rows from N(mean, cov), reproducibly for a given seed."""
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     count = _check_count("count", count, 0)
-    return _sample(p.mean, cholesky(p.cov), count, _check_seed(seed))
+    z = np.random.default_rng(_check_seed(seed)).standard_normal((count, p.dim))
+    return p.mean + z @ cholesky(p.cov).T

@@ -32,8 +32,8 @@ __all__ = ["IntensityVector", "SpectrumTestResult", "dft", "intensity", "spectru
 _CHUNK_CELLS = 1 << 22
 
 # Cyclic shifts and reversals of a series have the same |DFT|, so exact ties
-# with the statistic are common, but rounding (fft for the statistic, rfft of
-# a permuted copy for the null) splits them; this relative margin counts them.
+# with the statistic are common, but the rfft of a reordered copy rounds
+# differently and splits them; this relative margin counts them.
 _TIE_REL = 1e-12
 
 ALTERNATIVE_TEXT = (
@@ -126,7 +126,20 @@ def dft(x) -> np.ndarray:
         raise InvalidParamError(f"dft input must be 1- or 2-dimensional, got {arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise InvalidParamError("dft input must be finite")
-    return np.fft.fft(arr, axis=-1)
+    return _transform(arr, half=False)
+
+
+def _transform(rows, half):
+    """DFT of each row; only frequencies ``0 .. n//2``, by ``rfft``, if ``half``
+    and the rows are real."""
+    if half and not np.iscomplexobj(rows):
+        return np.fft.rfft(rows, axis=-1)
+    return np.fft.fft(rows, axis=-1)
+
+
+def _peaks(rows):
+    """Largest intensity over the nonzero frequencies of each standardised row."""
+    return np.abs(_transform(rows, half=True)[:, 1:]).max(axis=1) / np.sqrt(rows.shape[1])
 
 
 def _standardize(rows, centred, scaled):
@@ -187,16 +200,13 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
         raise InvalidParamError("intensity needs at least two observations per series")
     if not np.all(np.isfinite(rows)):
         raise InvalidParamError("intensity input must be finite")
-    is_complex = np.iscomplexobj(rows)
     work, dof = _standardize(rows, centred, scaled)
-    values = np.abs(np.fft.fft(work, axis=1)) / np.sqrt(n)
+    values = np.abs(_transform(work, half=nyquist)) / np.sqrt(n)
     if centred:
         # The mean was removed, so the zero-frequency coefficient is exactly
         # zero in exact arithmetic; pin it for the floating-point remainder.
         values[:, 0] = 0.0
-    truncated = bool(nyquist) and not is_complex
-    if truncated:
-        values = values[:, : n // 2 + 1]
+    truncated = bool(nyquist) and not np.iscomplexobj(rows)
     freqs = np.arange(values.shape[1]) / n
     return IntensityVector(
         values=values[0] if single else values,
@@ -209,19 +219,14 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
     )
 
 
-def _null_maxima_chunk(values, chunk_index, size, seed, use_rfft):
+def _null_maxima_chunk(values, chunk_index, size, seed):
     """Maxima of the permutation null for one chunk: seeded by the chunk
     index alone, so any partition of chunks over workers yields identical
     results."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    n = values.shape[0]
     tiles = np.tile(values, (size, 1))
     rng.permuted(tiles, axis=1, out=tiles)
-    if use_rfft:
-        spec = np.fft.rfft(tiles, axis=1)
-    else:
-        spec = np.fft.fft(tiles, axis=1)
-    return np.abs(spec[:, 1:]).max(axis=1) / np.sqrt(n)
+    return _peaks(tiles)
 
 
 def _emit_progress(progress, done, total):
@@ -279,14 +284,11 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     seed = _check_seed(seed)
 
     observed = intensity(arr, centred=True, scaled=True, nyquist=True)
-    statistic = float(np.max(observed.values[1:]))
-
     if not isinstance(seed, int):
         seed = int(np.random.default_rng(seed).integers(1 << 63))
 
-    standardized, _ = _standardize(np.atleast_2d(arr), centred=True, scaled=True)
-    values = standardized[0]
-    use_rfft = not np.iscomplexobj(values)
+    values = _standardize(arr[None], centred=True, scaled=True)[0][0]
+    statistic = float(_peaks(values[None])[0])
 
     # Each chunk writes its slice of one null sample, so the peak is the
     # sample plus the chunks in flight.
@@ -299,7 +301,7 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     def fill(start):
         """Write the chunk that starts at ``start``; returns its size."""
         piece = null_sample[start:start + chunk]
-        piece[:] = _null_maxima_chunk(values, start // chunk, piece.size, seed, use_rfft)
+        piece[:] = _null_maxima_chunk(values, start // chunk, piece.size, seed)
         return piece.size
 
     done = 0

@@ -1,6 +1,7 @@
 """Tests for model validation, psi weights, autocovariance, and variance
 matrices."""
 
+import math
 import time
 import warnings
 
@@ -184,6 +185,45 @@ class TestPsiWeights:
         with pytest.warns(SharedRootWarning):
             psi_weights(ArmaSpec(ar=(0.5,), ma=(-0.5,)))
 
+    @pytest.mark.parametrize(
+        "spec, index",
+        [
+            # r = (1 + 1e7) / 2: 2 * r**-K / (r - 1) is 8e-14 at K = 1, 1.6e-20 at K = 2.
+            (ArmaSpec(ar=(1e-7,)), 2),
+            # r = 5e199, so M(r) holds r**2; it is summed in logs, without overflow.
+            (ArmaSpec(ar=(1e-200,), ma=(0.5, 0.5)), 2),
+        ],
+    )
+    def test_root_far_outside_the_circle_truncates_early(self, spec, index):
+        pw = psi_weights(spec)
+        assert pw.truncation_index == index
+        assert 0.0 < pw.tail_bound <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), tol_exp=st.floats(-16.0, -3.0))
+    def test_truncation_index_is_first_certified(self, seed, tol_exp):
+        rng = np.random.default_rng(seed)
+        spec = random_stationary_spec(rng, p_max=3, q_max=3, min_root=1.02)
+        tol = 10.0**tol_exp
+        pw = psi_weights(spec, tol=tol)
+        k, floor = pw.truncation_index, max(spec.p, spec.q)
+        assert pw.tail_bound <= tol
+        moduli = validate_stationary(spec)
+        if not moduli.size:
+            assert (k, pw.tail_bound) == (spec.q, 0.0)
+            return
+        r, log_m = arma._cauchy_bound(spec, moduli)
+
+        def bound(lag):  # M(r) * r**-lag / (r - 1), the certified tail beyond lag
+            return math.exp(log_m - lag * math.log(r)) / (r - 1.0)
+
+        assert k >= floor and bound(k) <= tol * (1 + 1e-12)
+        assert k == floor or bound(k - 1) > tol * (1 - 1e-12)
+        # The bound is honest: the tail of the exact impulse response is below it.
+        full = lfilter(np.r_[1.0, spec.ma], np.r_[1.0, -np.asarray(spec.ar)],
+                       np.eye(1, 4 * (k + 1) + 64)[0])
+        assert np.abs(full[k + 1:]).sum() <= pw.tail_bound * (1 + 1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_convolution_identity(self, seed):
@@ -306,8 +346,9 @@ class TestAutocovariance:
         long = autocovariance(spec, 500).values
         assert short.tobytes() == long[:6].tobytes()
 
-    # phi = 1e-7 decays far faster than the Cauchy radius (capped at 2)
-    # certifies, so lags before the flush lag must be zeroed one by one.
+    # For phi = 0.8 the lags between the last one above rel_tol * gamma(0) and
+    # the flush lag are zeroed one by one; for phi = 1e-7 the Cauchy radius
+    # r = (1 + 1e7) / 2 puts the flush lag (3) right after that last lag.
     @pytest.mark.parametrize("phi", [0.8, 1e-7])
     def test_negligible_tail_is_exact_zero(self, phi):
         acv = autocovariance(ArmaSpec(ar=(phi,)), 5000).values

@@ -866,7 +866,7 @@ class TestSequentialSampler:
         for name in ("_covariance", "_free_moments"):
             monkeypatch.setattr(distribution, name, refuse)
         monkeypatch.setattr(mvn, "_factor", refuse)
-        monkeypatch.setattr(mvn, "_sample", refuse)
+        monkeypatch.setattr(mvn, "sample", refuse)
         draws = rgarma(3, 40, GARMA22, condvals=[1.0] + [np.nan] * 38 + [-1.0], seed=4)
         assert np.all(np.isfinite(draws))
 
@@ -1084,3 +1084,29 @@ class TestDeviationOverflow:
         with pytest.raises(InvalidParamError, match="row 1 minus the mean"):
             pgarma([1e308, 0.3, 0.1], self.SPEC, cond=[True, False, False])
 
+
+class TestZeroDensity:
+    """A finite value so far from the mean that its density is zero in double
+    precision gives a log-density of -inf with no RuntimeWarning (which
+    pyproject.toml makes an error); conditioned on, it is a typed error, since
+    log p(kept) - log p(cond) would be -inf minus -inf."""
+
+    @pytest.mark.parametrize(
+        "row, cond",
+        [
+            ([1e200, 0.3, 0.1], None),
+            ([0.3, 1e200, 0.1], [True, False, False]),
+            ([0.3, 0.1, 1e200], [True, False, False]),
+        ],
+    )
+    @pytest.mark.parametrize("error_var", [1.0, 1e-300])  # 1e-300: v / sqrt(f) overflows
+    def test_kept_position(self, row, cond, error_var):
+        spec = ArmaSpec(ar=(0.5,), error_var=error_var)
+        assert dgarma(row, spec, cond=cond, log=True).tolist() == [-np.inf]
+        assert dgarma(row, spec, cond=cond).tolist() == [0.0]
+
+    @pytest.mark.parametrize("flags", [[True, False, False], [False, False, True]])
+    def test_conditioned_position_names_its_row(self, flags):
+        rows = [[0.2, 0.3, 0.1], [1e200, 0.3, 1e200]]
+        with pytest.raises(InvalidParamError, match="conditioned values of row 2"):
+            dgarma(rows, ArmaSpec(ar=(0.5,)), cond=flags, log=True)

@@ -13,6 +13,7 @@ from garma import (
     intensity,
     spectrum_test,
 )
+from garma import spectral
 from garma.spectral import ALTERNATIVE_TEXT
 from conftest import naive_dft
 
@@ -182,6 +183,25 @@ class TestSpectrumTest:
         result = spectrum_test(x, sims=10, seed=1, progress=False)
         iv = intensity(x)
         assert result.statistic == float(np.max(iv.values[1:]))
+
+    @pytest.mark.parametrize("n", [16, 37])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_statistic_is_the_null_kernel_on_the_identity(self, n, kind):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if kind == "complex" else 0.0)
+        result = spectrum_test(x, sims=5, seed=9, progress=False)
+        values = spectral._standardize(x[None], centred=True, scaled=True)[0][0]
+        # Chunk 0 is the kernel on five permuted copies; permuting indices with
+        # the same stream gives the same permutations.
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(0,)))
+        order = stream.permuted(np.tile(np.arange(n), (5, 1)), axis=1)
+        chunk = spectral._null_maxima_chunk(values, 0, 5, 9)
+        assert np.array_equal(chunk, spectral._peaks(values[order]))
+        assert np.array_equal(result.null_sample, chunk)
+        # The statistic is the same kernel on the identity permutation, and the
+        # largest nonzero-frequency intensity, bit for bit.
+        assert result.statistic == spectral._peaks(values[None])[0]
+        assert result.statistic == np.max(intensity(x).values[1:])
 
     def test_p_value_on_add_one_grid(self):
         x = np.random.default_rng(24).normal(size=20)
