@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arma import _acvf, _ar_recursion, _invertible_ma
+from .arma import _ar_recursion, _covariance, _invertible_ma
 from .errors import InvalidParamError, NotPositiveDefiniteError, _check_finite
 from .mvn import _kernels, _normal_log_density
 
@@ -75,7 +75,7 @@ def _state_space(spec, moduli):
         on_y[i, 1:r - i + 1] = phi[i:]
         on_e[i, :r - i] = theta[i:]
     lag = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
-    cov_y = _acvf(spec, r - 1, moduli)[lag]
+    cov_y = _covariance(r, spec, moduli)
     cov_ye = var * np.triu(np.array(_ar_recursion(spec.ar, theta.tolist(), 1))[lag])
     cross = on_y @ cov_ye @ on_e.T
     p0 = on_y @ cov_y @ on_y.T + cross + cross.T + var * (on_e @ on_e.T)

@@ -33,6 +33,7 @@ from .errors import (
     SharedRootWarning,
     _check_count,
     _check_tol,
+    _set_fields,
 )
 from .mvn import _cov_to_corr, _free_moments
 
@@ -95,16 +96,15 @@ class ArmaSpec:
     error_var: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ar", _coeff_tuple(self.ar, "ar"))
-        object.__setattr__(self, "ma", _coeff_tuple(self.ma, "ma"))
+        ar = _coeff_tuple(self.ar, "ar")
+        ma = _coeff_tuple(self.ma, "ma")
         mean = float(self.mean)
         error_var = float(self.error_var)
         if not math.isfinite(mean):
             raise InvalidParamError("mean must be finite")
         if not math.isfinite(error_var) or error_var <= 0.0:
             raise InvalidParamError(f"error_var must be > 0, got {error_var!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "error_var", error_var)
+        _set_fields(self, ar=ar, ma=ma, mean=mean, error_var=error_var)
 
     @property
     def p(self) -> int:
@@ -121,6 +121,8 @@ class PsiWeights:
 
     ``weights[0]`` is always 1.  ``tail_bound`` is a certified upper bound on
     ``sum(|psi_k|)`` over all truncated indices ``k > truncation_index``.
+    ``weights`` is a read-only view, which shares memory with a float array
+    passed in.
     """
 
     weights: np.ndarray
@@ -128,22 +130,19 @@ class PsiWeights:
     tail_bound: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _set_fields(self, weights=np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True)
 class AcvSequence:
-    """Autocovariances (or autocorrelations) at lags ``0 .. len(values)-1``."""
+    """Autocovariances (or autocorrelations) at lags ``0 .. len(values)-1``,
+    as a read-only view, which shares memory with a float array passed in."""
 
     values: np.ndarray
     is_correlation: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _set_fields(self, values=np.asarray(self.values, dtype=float))
 
     @property
     def lag_count(self) -> int:
@@ -166,17 +165,16 @@ class VarianceMatrix:
 
     ``index_labels`` are the 1-based time indices of the retained free
     positions, so conditional matrices remain attributable to the original
-    series layout.
+    series layout.  ``entries`` is a read-only view, which shares memory with
+    a float array passed in: an ``n x n`` matrix is never copied.
     """
 
     entries: np.ndarray
     index_labels: tuple
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "index_labels", tuple(int(i) for i in self.index_labels))
+        _set_fields(self, entries=np.asarray(self.entries, dtype=float),
+                    index_labels=tuple(int(i) for i in self.index_labels))
 
     @property
     def labels(self):

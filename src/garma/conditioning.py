@@ -23,6 +23,7 @@ from .errors import (
     CondOnMissingError,
     DimensionMismatchError,
     InvalidParamError,
+    _set_fields,
 )
 
 __all__ = ["FREE", "CONDITIONED", "MARGINALISED", "CondPattern", "build_pattern"]
@@ -39,7 +40,9 @@ class CondPattern:
     ``values`` is NaN everywhere except at conditioned positions.  A pattern
     whose conditioned positions all carry finite values is *bound* and can be
     used directly; an unbound pattern only fixes the states, with values
-    supplied later (for example row by row from a data matrix).
+    supplied later (for example row by row from a data matrix).  Both arrays
+    are read-only views; ``state`` shares memory with an int8 array passed
+    in, and ``values`` is always a copy.
     """
 
     state: np.ndarray
@@ -61,10 +64,7 @@ class CondPattern:
                     f"state has shape {state.shape}"
                 )
         values[state != CONDITIONED] = np.nan
-        state.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "values", values)
+        _set_fields(self, state=state, values=values)
 
     def __len__(self):
         return len(self.state)

@@ -166,7 +166,8 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     results = _rectangle_cdf(rows[:, free_idx], cond_means, cond_cov, tol, seed,
                              _DEFAULT_MAX_POINTS)
     out = np.array([r.value for r in results])
-    return np.log(out) if log else out
+    with np.errstate(divide="ignore"):  # a probability that underflows to 0 has log -inf
+        return np.log(out) if log else out
 
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types and the seed, count, tolerance and finite checks of the package."""
+"""Exception and warning types, input checks and the record field helper of the package."""
 
 import math
 import numbers
@@ -120,6 +120,17 @@ class NumericalAdjustmentWarning(GarmaWarning):
                 "to make it positive definite"
             )
         super().__init__(message)
+
+
+def _set_fields(record, **fields):
+    """Store each field on the frozen dataclass ``record``, an ndarray as a
+    read-only view: the record cannot change it, and an array the caller
+    passed in keeps its own flags and shares its memory with the field."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def _check_seed(seed):

@@ -34,6 +34,7 @@ from .errors import (
     _check_finite,
     _check_seed,
     _check_tol,
+    _set_fields,
 )
 
 __all__ = [
@@ -138,7 +139,8 @@ def _check_square_sym(cov):
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean vector and covariance matrix of a multivariate normal."""
+    """Mean vector and covariance matrix of a multivariate normal, each a
+    read-only copy of the array passed in."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -154,12 +156,7 @@ class GaussianParams:
             raise DimensionMismatchError(
                 f"mean has length {mean.shape[0]}, covariance is {cov.shape[0]}x{cov.shape[1]}"
             )
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _set_fields(self, mean=mean.copy(), cov=cov.copy())
 
     @property
     def dim(self) -> int:
@@ -168,18 +165,15 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class ConditionalMoments:
-    """Mean and covariance of the free coordinates given the conditioned ones."""
+    """Mean and covariance of the free coordinates given the conditioned ones,
+    as read-only views, which share memory with float arrays passed in."""
 
     cond_mean: np.ndarray
     cond_cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.cond_mean, dtype=float)
-        cov = np.asarray(self.cond_cov, dtype=float)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "cond_mean", mean)
-        object.__setattr__(self, "cond_cov", cov)
+        _set_fields(self, cond_mean=np.asarray(self.cond_mean, dtype=float),
+                    cond_cov=np.asarray(self.cond_cov, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,7 @@ class CdfResult:
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "error_estimate", float(self.error_estimate))
+        _set_fields(self, value=float(self.value), error_estimate=float(self.error_estimate))
         if not 0.0 <= self.value <= 1.0:
             raise InvalidParamError(f"probability out of range: {self.value!r}")
 

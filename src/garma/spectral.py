@@ -22,6 +22,7 @@ from .errors import (
     ZeroVarianceError,
     _check_count,
     _check_seed,
+    _set_fields,
 )
 
 __all__ = ["IntensityVector", "SpectrumTestResult", "dft", "intensity", "spectrum_test"]
@@ -49,7 +50,9 @@ class IntensityVector:
     ``values`` has the input's leading shape: a vector input gives a 1-D
     array, a matrix input one row of intensities per series row.  ``dof`` is
     the sum of squared scaled intensities over the full (untruncated)
-    frequency range: n-1 when centred, n when not.
+    frequency range: n-1 when centred, n when not.  ``values`` and
+    ``frequencies`` are read-only views, which share memory with float arrays
+    passed in.
     """
 
     values: np.ndarray
@@ -61,12 +64,8 @@ class IntensityVector:
     series_len: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        f = np.asarray(self.frequencies, dtype=float)
-        v.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "frequencies", f)
+        _set_fields(self, values=np.asarray(self.values, dtype=float),
+                    frequencies=np.asarray(self.frequencies, dtype=float))
 
     @property
     def labels(self):
@@ -86,8 +85,9 @@ class SpectrumTestResult:
     """Result of the permutation-spectrum test.
 
     ``null_sample`` holds the simulated maxima (in simulation order) so the
-    null distribution can be plotted; ``intensity`` is the observed intensity
-    used for the statistic.
+    null distribution can be plotted, as a read-only view, which shares memory
+    with a float array passed in; ``intensity`` is the observed intensity used
+    for the statistic.
     """
 
     statistic: float
@@ -99,9 +99,7 @@ class SpectrumTestResult:
     intensity: IntensityVector
 
     def __post_init__(self):
-        ns = np.asarray(self.null_sample, dtype=float)
-        ns.setflags(write=False)
-        object.__setattr__(self, "null_sample", ns)
+        _set_fields(self, null_sample=np.asarray(self.null_sample, dtype=float))
 
     def __str__(self):
         return (
@@ -119,14 +117,24 @@ def dft(x) -> np.ndarray:
     Accepts a vector (or a matrix, transformed row by row) and always returns
     a complex array of the same shape.
     """
+    return _transform(_series("dft", x, 1, matrix=True), half=False)
+
+
+def _series(what, x, min_len, matrix):
+    """``x`` as an array of one series, or of one per row if ``matrix``, of at
+    least ``min_len`` finite numbers (booleans count): :class:`EmptyInputError`
+    if it is empty, else :class:`InvalidParamError` naming ``what``."""
     arr = np.asarray(x)
     if arr.size == 0:
-        raise EmptyInputError("dft needs at least one observation")
-    if arr.ndim not in (1, 2):
-        raise InvalidParamError(f"dft input must be 1- or 2-dimensional, got {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParamError("dft input must be finite")
-    return _transform(arr, half=False)
+        raise EmptyInputError(f"{what} input has no observations")
+    if arr.ndim not in ((1, 2) if matrix else (1,)):
+        shape = "1- or 2-dimensional" if matrix else "a single series vector"
+        raise InvalidParamError(f"{what} input must be {shape}, got ndim={arr.ndim}")
+    if arr.shape[-1] < min_len:
+        raise InvalidParamError(f"{what} needs n >= {min_len}, got n={arr.shape[-1]}")
+    if arr.dtype.kind not in "biufc" or not np.isfinite(arr).all():
+        raise InvalidParamError(f"{what} input must be finite numbers")
+    return arr
 
 
 def _transform(rows, half):
@@ -188,18 +196,10 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
     ZeroVarianceError
         If ``scaled`` and the series is constant.
     """
-    arr = np.asarray(x)
-    if arr.size == 0:
-        raise EmptyInputError("intensity needs at least two observations")
+    arr = _series("intensity", x, 2, matrix=True)
     single = arr.ndim == 1
     rows = np.atleast_2d(arr)
-    if rows.ndim != 2:
-        raise InvalidParamError(f"x must be 1- or 2-dimensional, got ndim={arr.ndim}")
     n = rows.shape[1]
-    if n < 2:
-        raise InvalidParamError("intensity needs at least two observations per series")
-    if not np.all(np.isfinite(rows)):
-        raise InvalidParamError("intensity input must be finite")
     work, dof = _standardize(rows, centred, scaled)
     values = np.abs(_transform(work, half=nyquist)) / np.sqrt(n)
     if centred:
@@ -271,14 +271,8 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
         Worker threads for the permutation chunks.  The chunk seeding makes
         the result identical for every worker count.
     """
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise InvalidParamError("spectrum_test expects a single series vector")
-    if arr.size == 0:
-        raise EmptyInputError("spectrum_test needs at least three observations")
+    arr = _series("spectrum_test", x, 3, matrix=False)
     n = arr.size
-    if n < 3:
-        raise InvalidParamError(f"spectrum_test needs n >= 3, got n={n}")
     sims = _check_count("sims", sims, 1)
     workers = _check_count("workers", workers, 1)
     seed = _check_seed(seed)

@@ -329,6 +329,11 @@ class TestPgarma:
         logged = pgarma([-10.0, -10.0], WHITE, log=True)[0]
         assert logged == pytest.approx(2.0 * norm.logcdf(-10.0), rel=1e-13, abs=0.0)
 
+    def test_log_of_underflowed_probability_is_silent(self):
+        # The probability underflows to 0, so its log is -inf, with no
+        # divide-by-zero RuntimeWarning (an error under pyproject.toml).
+        assert pgarma([-40.0, -40.0], AR1, log=True).tolist() == [-np.inf]
+
     def test_three_free_default_seed_reproducible(self):
         x = np.array([0.2, -0.1, 0.4])
         a = pgarma(x, AR1)

@@ -162,6 +162,21 @@ class TestIntensity:
             iv.values[0] = 9.9
 
 
+@pytest.mark.parametrize("bad", [
+    ["a", "b", "c"],
+    np.array([1.0, 2.0, 3.0], dtype=object),
+    [1.0, np.nan, 2.0],
+], ids=["strings", "objects", "nan"])
+@pytest.mark.parametrize("what, call", [
+    ("dft", dft),
+    ("intensity", intensity),
+    ("spectrum_test", lambda x: spectrum_test(x, sims=1, seed=1, progress=False)),
+], ids=["dft", "intensity", "spectrum_test"])
+def test_non_numeric_or_nonfinite_series_named(what, call, bad):
+    with pytest.raises(InvalidParamError, match=f"^{what} input must be finite numbers$"):
+        call(bad)
+
+
 class TestSpectrumTest:
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(21).normal(size=24)
