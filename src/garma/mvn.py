@@ -68,6 +68,9 @@ _INFLATION_EPS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 DEFAULT_CDF_SEED = 1000003
 _DEFAULT_MAX_POINTS = 10_000_000
 _QMC_BATCHES = 10
+# Points one quasi-Monte Carlo pass evaluates at most: all of a first round's
+# engines, and a bound on the arrays of every later round.
+_QMC_PASS_POINTS = 2**14
 
 
 _Kernels = namedtuple("_Kernels", "dtbtrs dtrtrs ndtr")
@@ -437,6 +440,7 @@ def _ordered_cholesky(corr, upper):
 # with a digital shift, drawn in Gray-code order.
 _SOBOL_BITS = 30
 _SOBOL_POWERS = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+_SOBOL_EYE = np.eye(_SOBOL_BITS, dtype=np.uint32)
 
 
 @functools.lru_cache(maxsize=1)
@@ -455,7 +459,7 @@ def _sobol_table():
 @functools.lru_cache(maxsize=16)
 def _sobol_bits(d):
     """Bits of the unscrambled direction numbers of the first ``d``
-    dimensions as floats, ``[k, j, c]`` the ``c``-th most significant of the
+    dimensions as bools, ``[k, j, c]`` the ``c``-th most significant of the
     30 bits of direction ``j`` in dimension ``k``.
 
     Bratley and Fox's (1988) recursion runs for all dimensions at once; the
@@ -480,7 +484,7 @@ def _sobol_bits(d):
         v[:, j] = np.where(late, new, v[:, j])
     v[0] = 1
     msb_first = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
-    bits = (((v << msb_first)[:, :, None] >> msb_first) & 1).astype(float)
+    bits = (((v << msb_first)[:, :, None] >> msb_first) & 1).astype(bool)
     bits.setflags(write=False)  # cached, so shared by every caller
     return bits
 
@@ -488,47 +492,58 @@ def _sobol_bits(d):
 def _sobol_scramble(gen, d):
     """Direction numbers ``(d, 30)`` and shift ``(d,)`` of one scrambled
     engine, both ``uint32``, drawn from ``gen`` in scipy's order: the shift
-    bits, then the lower-triangular matrices, whose unit diagonal is then set."""
+    bits, then the lower-triangular matrices, whose unit diagonal is then set.
+
+    Each column of a matrix packs into one word, most significant bit first,
+    and a scrambled direction is the XOR of the columns its bits select.
+    """
     bits = _sobol_bits(d)
     shift = gen.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_POWERS
     draws = gen.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
-    ltm = np.tril(draws, -1) + np.eye(_SOBOL_BITS)
-    scrambled = np.fmod(bits @ ltm.transpose(0, 2, 1), 2.0) @ _SOBOL_POWERS[::-1]
-    return scrambled.astype(np.uint32), shift
+    columns = _SOBOL_POWERS[::-1] @ (np.tril(draws, -1) | _SOBOL_EYE)
+    scrambled = np.bitwise_xor.reduce(bits * columns[:, None, :], axis=2)
+    return scrambled, shift
 
 
 def _sobol_points(directions, shift, m):
-    """The first ``2**m`` points of a scrambled engine, ``(2**m, d)``, in
-    Gray-code order: point ``i`` is ``shift`` XOR the direction numbers of the
-    bits set in ``i ^ (i >> 1)``.
+    """The first ``2**m`` points of scrambled engines, ``(..., 2**m, d)``
+    for directions ``(..., d, 30)`` and shifts ``(..., d)``, in Gray-code
+    order: point ``i`` is ``shift`` XOR the direction numbers of the bits set
+    in ``i ^ (i >> 1)``.
 
     Doubling fills them: the points ``2**b .. 2**(b+1) - 1`` are those before,
-    reversed, XOR direction ``b``.  The result is the transpose of a
-    ``(d, 2**m)`` array, so each coordinate is contiguous.
+    reversed, XOR direction ``b``.  The result is a view of a
+    ``(..., d, 2**m)`` array, so each coordinate is contiguous.
     """
-    x = np.empty((shift.shape[0], 1 << m), dtype=np.uint32)
-    x[:, 0] = shift
+    x = np.empty(shift.shape + (1 << m,), dtype=np.uint32)
+    x[..., 0] = shift
     for b in range(m):
         half = 1 << b
-        np.bitwise_xor(x[:, half - 1::-1], directions[:, b:b + 1], out=x[:, half:2 * half])
-    return (x * 2.0 ** -_SOBOL_BITS).T
+        np.bitwise_xor(x[..., half - 1::-1], directions[..., b:b + 1], out=x[..., half:2 * half])
+    return (x * 2.0 ** -_SOBOL_BITS).swapaxes(-1, -2)
 
 
 def _sov_mean(ell, u, pts):
-    """Average of the separation-of-variables integrand over unit-cube points."""
+    """Average of the separation-of-variables integrand over unit-cube points
+    ``(..., points, d)``, one per leading index.
+
+    Each step is one array operation over every leading index at once; the
+    partial sums ``ell[i, :i] @ y[:i]`` are one matrix-vector product over
+    all points, so each point rounds as it does alone.
+    """
     from scipy.special import ndtri
 
     ndtr = _kernels().ndtr
     n = len(u)
-    e = np.full(pts.shape[0], float(ndtr(u[0] / ell[0, 0])))
+    e = np.full(pts.shape[:-1], float(ndtr(u[0] / ell[0, 0])))
     pv = e.copy()
-    y = np.empty((n - 1, pts.shape[0]))
+    y = np.empty((n - 1, e.size))
     for i in range(1, n):
-        z = np.clip(e * pts[:, i - 1], 1e-300, 1.0 - 1e-16)
-        y[i - 1] = np.clip(ndtri(z), -40.0, 40.0)
-        e = ndtr((u[i] - ell[i, :i] @ y[:i]) / ell[i, i])
+        z = np.clip(e * pts[..., i - 1], 1e-300, 1.0 - 1e-16)
+        y[i - 1] = np.clip(ndtri(z), -40.0, 40.0).ravel()
+        e = ndtr((u[i] - (ell[i, :i] @ y[:i]).reshape(e.shape)) / ell[i, i])
         pv = pv * e
-    return float(pv.mean())
+    return pv.mean(axis=-1)
 
 
 def _qmc_cdf(corr, z, tol, seed, max_points):
@@ -538,11 +553,13 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     from its own child of the ``SeedSequence`` of one generator seeded with
     ``seed``, and evaluates every row not yet within ``tol`` on them.  Each
     scramble alone gives an unbiased estimate, so every row keeps its own
-    error estimate (Owen 1997).  The point cap is reached by all rows in the
-    same round; the first row still above ``tol`` then raises.  The points do
-    not depend on the installed scipy: they equal those scipy 1.17's
-    ``qmc.Sobol`` draws when it spawns one child of the same generator per
-    engine.
+    error estimate (Owen 1997).  A round's engines are stacked into passes
+    of at most ``_QMC_PASS_POINTS`` points, or one engine where it has more,
+    and each pass is one array evaluation per row.  The point cap is reached
+    by all rows in the same round; the first row still above ``tol`` then
+    raises.  The points do not depend on the installed scipy: they equal
+    those scipy 1.17's ``qmc.Sobol`` draws when it spawns one child of the
+    same generator per engine.
     """
     d = corr.shape[0] - 1
     factors = [_ordered_cholesky(corr, row) for row in z]
@@ -553,13 +570,16 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     while len(results) < len(factors):
         todo = [row for row in range(len(factors)) if row not in results]
         # numpy 1.23 has no public SeedSequence attribute on a bit generator.
-        engines = [_sobol_scramble(np.random.Generator(type(bit_gen)(child)), d)
-                   for child in bit_gen._seed_seq.spawn(_QMC_BATCHES)]
+        directions, shifts = map(np.stack, zip(*(
+            _sobol_scramble(np.random.Generator(type(bit_gen)(child)), d)
+            for child in bit_gen._seed_seq.spawn(_QMC_BATCHES))))
         estimates = np.empty((len(todo), _QMC_BATCHES))
-        for j, engine in enumerate(engines):
-            pts = _sobol_points(*engine, exponent)
+        width = max(1, _QMC_PASS_POINTS >> exponent)
+        for start in range(0, _QMC_BATCHES, width):
+            engines = slice(start, start + width)
+            pts = _sobol_points(directions[engines], shifts[engines], exponent)
             for i, row in enumerate(todo):
-                estimates[i, j] = _sov_mean(*factors[row], pts)
+                estimates[i, engines] = _sov_mean(*factors[row], pts)
         total += _QMC_BATCHES << exponent
         for row, est in zip(todo, estimates):
             value = float(est.mean())
@@ -608,15 +628,18 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     component makes the probability exactly 0.  One dimension uses the normal
     CDF, two a quadrature accurate to 1e-14 absolute, three or more seeded
     randomized quasi-Monte Carlo iterated until the estimated standard error
-    is at most ``tol`` or ``max_points`` integrand evaluations have been
-    spent.  The default seed is a fixed documented constant so repeated calls
-    agree; pass ``seed=None`` for a fresh nondeterministic stream.
+    is at most ``tol``.  The first round of 10 x 1024 integrand evaluations
+    always runs; each later round quadruples the points and runs only if it
+    keeps the total within ``max_points``.  The default seed is a fixed
+    documented constant so repeated calls agree; pass ``seed=None`` for a
+    fresh nondeterministic stream.
 
     Raises
     ------
     ToleranceNotReachedError
-        If the point cap is hit first; the best estimate and its error ride
-        along on the exception.
+        If the error is above ``tol`` when the next round would exceed
+        ``max_points``; the best estimate and its error ride along on the
+        exception.
     """
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     u = np.atleast_1d(np.asarray(upper, dtype=float))

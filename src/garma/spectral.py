@@ -11,7 +11,6 @@ p-value is the add-one permutation estimate
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +296,10 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
         piece = null_sample[start:start + chunk]
         piece[:] = _null_maxima_chunk(values, start // chunk, piece.size, seed)
         return piece.size
+
+    # Imported here: concurrent.futures loads threading, queue and logging,
+    # which `import garma` and every CLI command would otherwise pay for.
+    from concurrent.futures import ThreadPoolExecutor
 
     done = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -12,7 +12,10 @@ every position one at a time from a Lyapunov-solved start, with no shortcut.
 The bivariate normal CDF oracle integrates the density over the correlation
 (Plackett's identity) instead of using the library's quadrature rule.  The
 scrambled Sobol oracle runs the direction-number recursion, the scramble and
-the Gray-code walk one bit and one point at a time on Python integers.
+the Gray-code walk one bit and one point at a time on Python integers.  The
+quasi-Monte Carlo oracle is the per-engine round the stacked passes replaced:
+a floating-point scramble, one engine's points at a time and one
+integrand call per engine and row.
 """
 
 import math
@@ -21,9 +24,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 from scipy.signal import lfilter
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
-from garma import ArmaSpec
+from garma import ArmaSpec, ToleranceNotReachedError, mvn
 
 
 def naive_dft(x):
@@ -236,6 +240,72 @@ def sobol_reference(gen, d, m, poly, vinit, bits=30):
         point = [x ^ directions[k][low] for k, x in enumerate(point)]
         points.append(point)
     return np.array(points, dtype=float) / 2.0**bits
+
+
+def _scramble_reference(gen, d):
+    """One engine's direction numbers and shift, the scramble applied as a
+    floating-point matrix product reduced mod 2."""
+    bits = mvn._sobol_bits(d).astype(float)
+    shift = gen.integers(2, size=(d, 30), dtype=np.uint32) @ mvn._SOBOL_POWERS
+    draws = gen.integers(2, size=(d, 30, 30), dtype=np.uint32)
+    ltm = np.tril(draws, -1) + np.eye(30)
+    scrambled = np.fmod(bits @ ltm.transpose(0, 2, 1), 2.0) @ mvn._SOBOL_POWERS[::-1]
+    return scrambled.astype(np.uint32), shift
+
+
+def _points_reference(directions, shift, m):
+    """One engine's first ``2**m`` points, ``(2**m, d)``, by doubling."""
+    x = np.empty((shift.shape[0], 1 << m), dtype=np.uint32)
+    x[:, 0] = shift
+    for b in range(m):
+        half = 1 << b
+        np.bitwise_xor(x[:, half - 1::-1], directions[:, b:b + 1], out=x[:, half:2 * half])
+    return (x * 2.0 ** -30).T
+
+
+def _sov_mean_reference(ell, u, pts):
+    """The separation-of-variables integrand averaged over one engine's points."""
+    n = len(u)
+    e = np.full(pts.shape[0], float(ndtr(u[0] / ell[0, 0])))
+    pv = e.copy()
+    y = np.empty((n - 1, pts.shape[0]))
+    for i in range(1, n):
+        z = np.clip(e * pts[:, i - 1], 1e-300, 1.0 - 1e-16)
+        y[i - 1] = np.clip(ndtri(z), -40.0, 40.0)
+        e = ndtr((u[i] - ell[i, :i] @ y[:i]) / ell[i, i])
+        pv = pv * e
+    return float(pv.mean())
+
+
+def qmc_cdf_reference(corr, z, tol, seed, max_points):
+    """``mvn._qmc_cdf`` one engine and one row at a time: ten scrambles per
+    round, each engine's points built and integrated on their own."""
+    d = corr.shape[0] - 1
+    factors = [mvn._ordered_cholesky(corr, row) for row in z]
+    bit_gen = np.random.default_rng(seed).bit_generator
+    results = {}
+    exponent = 10
+    total = 0
+    while len(results) < len(factors):
+        todo = [row for row in range(len(factors)) if row not in results]
+        engines = [_scramble_reference(np.random.Generator(type(bit_gen)(child)), d)
+                   for child in bit_gen._seed_seq.spawn(10)]
+        estimates = np.empty((len(todo), 10))
+        for j, engine in enumerate(engines):
+            pts = _points_reference(*engine, exponent)
+            for i, row in enumerate(todo):
+                estimates[i, j] = _sov_mean_reference(*factors[row], pts)
+        total += 10 << exponent
+        for row, est in zip(todo, estimates):
+            value = float(est.mean())
+            err = float(est.std(ddof=1) / math.sqrt(10))
+            if err <= tol:
+                results[row] = mvn.CdfResult(value=min(max(value, 0.0), 1.0),
+                                             error_estimate=err, method="qmc")
+            elif total + (10 << (exponent + 2)) > max_points:
+                raise ToleranceNotReachedError(value, err)
+        exponent += 2
+    return [results[row] for row in range(len(factors))]
 
 
 def random_stationary_spec(rng, p_max=2, q_max=2, min_root=1.25, with_mean=True):

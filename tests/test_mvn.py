@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,13 @@ from garma import (
     mvn,
     variance_matrix,
 )
-from conftest import brute_conditional, norm_cdf, plackett_bvn_cdf, sobol_reference
+from conftest import (
+    brute_conditional,
+    norm_cdf,
+    plackett_bvn_cdf,
+    qmc_cdf_reference,
+    sobol_reference,
+)
 
 AR1_COV2 = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
 
@@ -524,6 +531,66 @@ class TestMvnCdf:
             mvn.mvn_cdf([0.0] * 5, params, tol=1e-12, seed=3, max_points=50_000)
         assert 0.0 <= info.value.best_estimate <= 1.0
         assert info.value.error_estimate > 1e-12
+
+    def test_first_round_ignores_the_point_cap(self):
+        # The cap is checked only before each later round, so the first
+        # round's 10 x 1024 points always run.
+        params = mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3))
+        upper = [0.5, -0.2, 1.0, 0.0]
+        first = mvn.mvn_cdf(upper, params, tol=1e-3, max_points=1)
+        assert first.method == "qmc"
+        with pytest.raises(ToleranceNotReachedError) as info:
+            mvn.mvn_cdf(upper, params, tol=1e-9, max_points=1)
+        assert info.value.best_estimate == first.value
+        assert info.value.error_estimate == first.error_estimate
+
+
+class TestQmcPasses:
+    """The quasi-Monte Carlo rounds, each evaluated in passes that stack
+    several engines' points, against the per-engine round."""
+
+    # Points spent by the end of rounds 1 to 4; a cap of one of them lets
+    # that many rounds run at most.
+    ROUND_TOTALS = (10_240, 51_200, 215_040, 870_400)
+
+    @staticmethod
+    def _outcome(cdf, *args):
+        try:
+            return [(r.value, r.error_estimate, r.method) for r in cdf(*args)]
+        except ToleranceNotReachedError as err:
+            return ("raised", err.best_estimate, err.error_estimate)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(3, 12), rows=st.integers(1, 4), rounds=st.integers(1, 4),
+           log_tol=st.floats(-6.0, -3.0), seed=st.integers(0, 2**32 - 1))
+    @example(d=12, rows=4, rounds=4, log_tol=-6.0, seed=0)  # raises after round 4
+    @example(d=5, rows=2, rounds=4, log_tol=-5.0, seed=3)  # done in round 4
+    def test_bit_identical_to_per_engine_reference(self, d, rows, rounds, log_tol, seed):
+        # A strong common factor and limits above the mean keep the
+        # integrand's variance high, so that later rounds run.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d + 2))
+        a[:, 0] *= 3.0
+        corr = mvn._cov_to_corr(a @ a.T)
+        z = rng.uniform(0.0, 2.0, size=(rows, d))
+        args = (corr, z, 10.0**log_tol, seed, self.ROUND_TOTALS[rounds - 1])
+        assert self._outcome(mvn._qmc_cdf, *args) == self._outcome(qmc_cdf_reference, *args)
+
+    def test_peak_memory_of_later_rounds_is_bounded(self):
+        # Four rounds at d = 12 before the cap; the last has 65,536 points
+        # per engine, so stacking all ten engines would take about 130 MiB.
+        params = mvn.GaussianParams(np.zeros(12), 0.5 ** np.abs(np.subtract.outer(
+            np.arange(12), np.arange(12))))
+        upper = np.full(12, 0.3)
+        mvn.mvn_cdf(upper, params, tol=1e-2)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotReachedError):
+                mvn.mvn_cdf(upper, params, tol=1e-9, max_points=3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 def scipy_sobol_spawns():

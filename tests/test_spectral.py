@@ -1,6 +1,8 @@
 """Tests for the DFT, intensity vectors, and the permutation-spectrum test."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,6 +194,16 @@ class TestSpectrumTest:
         threaded = spectrum_test(x, sims=20_000, seed=13, progress=False, workers=4)
         assert serial.p_value == threaded.p_value
         assert np.array_equal(serial.null_sample, threaded.null_sample)
+
+    def test_thread_pool_loads_on_first_test_only(self):
+        # concurrent.futures brings threading, queue and logging with it.
+        code = ("import sys, garma, garma.cli\n"
+                "before = 'concurrent.futures' in sys.modules\n"
+                "garma.spectrum_test([0.3, -1.2, 0.8, 0.1], sims=5, seed=1, progress=False)\n"
+                "print(before, 'concurrent.futures' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
 
     def test_statistic_is_max_intensity(self):
         x = np.random.default_rng(23).normal(size=30)
