@@ -2,7 +2,11 @@
 filter on Harvey's state-space form of the model, which never forms the
 ``m x m`` covariance.  :func:`log_density` computes ``log p(free | cond) =
 log p(kept) - log p(cond)`` as two passes of it, each skipping the positions
-it does not observe (Jones 1980; Gardner, Harvey & Phillips 1980).
+it does not observe (Jones 1980; Gardner, Harvey & Phillips 1980).  The
+steps of the filter depend only on the prediction covariance ``P`` they
+start from, so within a pass a run of observed positions that starts from a
+``P`` already seen, bit for bit, as after each of many equal gaps, replays
+the stored steps: the pass stores and computes each distinct transient once.
 :func:`draw` runs it over every position and adds one backward information
 pass over the conditioned values (Fraser & Potter 1969), to draw each free
 position in index order given every earlier position and the later
@@ -86,51 +90,88 @@ def _state_space(spec, moduli):
 
 def _filter(observed, model):
     """The Kalman filter over the ``observed`` positions, from the stationary
-    state covariance: the distinct prediction covariances ``P`` as a stack,
-    the gains ``K[t]`` (zero where unobserved) and, per observed position,
-    the index of its ``P`` in the stack.  All depend only on the pattern.
+    state covariance: a stack of prediction covariances ``P``, the gains
+    ``K[t]`` (zero where unobserved) and, per observed position, the index of
+    its ``P`` in the stack.  All depend only on the pattern.
 
     Within a run of observed positions the update stops once ``P`` no longer
     changes; a run of ``k`` unobserved positions moves ``P`` to ``P0 + T**k
-    (P - P0) T**k'`` in one step.  A non-positive prediction variance raises
+    (P - P0) T**k'`` in one step.  The steps from a given ``P`` are the same
+    floats wherever they run, so a run that starts from a ``P`` already seen
+    in this call (the same bytes) replays that transient's stack indices and
+    gains, and computes only the steps beyond it; the stack holds each
+    distinct transient once.  A non-positive prediction variance raises
     :class:`NotPositiveDefiniteError`."""
     transition, q_cov, p0 = model
     m, r = observed.size, transition.shape[0]
     back = transition.T
     gains = np.zeros((m, r))
     index = np.zeros(m, dtype=np.intp)
-    covs = np.empty((16, r, r))  # each step writes its P here; doubled when full
+    covs = np.empty((16, r, r))  # each step writes its P here; grown when full
     k, cov = 0, p0
+    # The transient from the P with these bytes: its n steps have their P's
+    # in covs[first:first + n + 1] and their gains at gains[origin:origin +
+    # n]; the last step was steady or ended its run.
+    seen = {}
     edges = np.flatnonzero(observed[1:] != observed[:-1]) + 1
+    # Each step adds one P and each run at most one more, so the stack never
+    # needs more than `limit` of them.
+    limit = np.count_nonzero(observed) + edges.size // 2 + 1
     for start, end in zip([0, *edges], [*edges, m]):
         if not observed[start]:
             if end < m:
                 power = np.linalg.matrix_power(transition, end - start)
                 cov = p0 + power @ (cov - p0) @ power.T
             continue
-        covs[k] = cov
-        for t in range(start, end):
-            if k + 1 == len(covs):
-                covs = np.concatenate((covs, np.empty_like(covs)))
-            f = cov[0, 0]
-            if not f > 0.0:
-                raise NotPositiveDefiniteError(
-                    f"one-step prediction variance {f!r} at position {t + 1} is not positive"
-                )
-            ahead = transition @ cov
-            gain = np.divide(ahead[:, 0], f, out=gains[t])
-            step = np.matmul(ahead, back, out=covs[k + 1])
-            step -= ahead[:, :1] * gain
-            step += q_cov
-            index[t] = k
-            k += 1
-            steady = np.abs(step - cov).max() <= _STEADY_TOL * f
-            cov = step
-            if steady:
-                gains[t + 1:end] = gain
-                index[t + 1:end] = k - 1
-                break
+        t = start
+        while t < end:
+            key = cov.tobytes()
+            if key in seen:
+                first, origin, n, steady = seen[key]
+                use = min(n, end - t)
+                index[t:t + use] = np.arange(first, first + use)
+                gains[t:t + use] = gains[origin:origin + use]
+                cov = covs[first + use]
+            else:
+                if k + 1 >= len(covs):
+                    covs = _grown(covs, limit)
+                first, origin = k, t
+                covs[k] = cov
+                for u in range(t, end):
+                    if k + 1 == len(covs):
+                        covs = _grown(covs, limit)
+                    f = cov[0, 0]
+                    if not f > 0.0:
+                        raise NotPositiveDefiniteError(
+                            f"one-step prediction variance {f!r} at position {u + 1} "
+                            "is not positive"
+                        )
+                    ahead = transition @ cov
+                    gain = np.divide(ahead[:, 0], f, out=gains[u])
+                    step = np.matmul(ahead, back, out=covs[k + 1])
+                    step -= ahead[:, :1] * gain
+                    step += q_cov
+                    index[u] = k
+                    k += 1
+                    steady = np.abs(step - cov).max() <= _STEADY_TOL * f
+                    cov = step
+                    if steady:
+                        break
+                n = use = k - first
+                seen[key] = first, origin, n, steady
+                k += 1  # keep the last P: it starts the next gap or a replay
+            t += use
+            if steady and t < end:
+                index[t:end] = first + n - 1
+                gains[t:end] = gains[origin + n - 1]
+                t = end
     return covs[:k], gains, index
+
+
+def _grown(stack, limit):
+    """``stack`` with twice the slots, or ``limit`` if that is fewer."""
+    more = min(len(stack), limit - len(stack))
+    return np.concatenate((stack, np.empty((more, *stack.shape[1:]))))
 
 
 def _filter_log_density(dev, observed, model):

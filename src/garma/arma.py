@@ -33,6 +33,7 @@ from .errors import (
     SharedRootWarning,
     _check_count,
     _check_tol,
+    _dense_memory_error,
     _set_fields,
 )
 from .mvn import _cov_to_corr, _free_moments
@@ -484,7 +485,10 @@ def _covariance(n, spec, moduli):
     gamma = _acvf(spec, n - 1, moduli)
     mirrored = np.concatenate((gamma[::-1], gamma[1:]))
     step = mirrored.strides[0]
-    return as_strided(mirrored[n - 1:], shape=(n, n), strides=(-step, step)).copy()
+    try:
+        return as_strided(mirrored[n - 1:], shape=(n, n), strides=(-step, step)).copy()
+    except (MemoryError, ValueError):
+        raise _dense_memory_error(8 * n * n, f"the {n} x {n} covariance matrix") from None
 
 
 def acf_vector(n: int, spec: ArmaSpec, corr: bool = False) -> AcvSequence:

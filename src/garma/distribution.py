@@ -103,10 +103,14 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     With ``r = max(p, q + 1)`` a pass costs ``O(m r**3)`` time and at most
     ``O(m r**2)`` memory: the filter runs once for all rows, stops updating
     once it is steady and crosses each unobserved run in one step, and the
-    innovations of every row come from one banded triangular solve.  No
-    ``m x m`` matrix is formed.  A non-positive prediction variance raises
-    :class:`NotPositiveDefiniteError`; conditioned values whose density is
-    zero in double precision raise :class:`InvalidParamError`.
+    innovations of every row come from one banded triangular solve.  A run
+    of observed positions that starts from a prediction covariance the pass
+    has already seen, bit for bit, replays the steps stored for it, so the
+    filter keeps each distinct transient once and the values are those of
+    stepping every run afresh.  No ``m x m`` matrix is formed.  A
+    non-positive prediction variance raises :class:`NotPositiveDefiniteError`;
+    conditioned values whose density is zero in double precision raise
+    :class:`InvalidParamError`.
 
     The pattern is validated by :func:`garma.build_pattern`: an all-missing
     row raises :class:`AllMarginalisedError` and a flag on a missing position

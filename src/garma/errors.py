@@ -171,6 +171,16 @@ def _check_tol(name, value):
     return float(value)
 
 
+def _dense_memory_error(nbytes, what):
+    """:class:`InvalidParamError` for a dense allocation of ``nbytes`` for
+    ``what`` that failed, naming the functions that need only ``O(m)``
+    memory for a series of length ``m``."""
+    return InvalidParamError(
+        f"cannot allocate {nbytes} bytes for {what}; dgarma and rgarma need "
+        "only O(m) memory"
+    )
+
+
 def _check_finite(dev, name=None):
     """:class:`InvalidParamError` unless each row of ``dev`` (values minus their
     mean, along the last axis) is finite, naming ``name`` or the first bad row."""

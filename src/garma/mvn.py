@@ -34,6 +34,7 @@ from .errors import (
     _check_finite,
     _check_seed,
     _check_tol,
+    _dense_memory_error,
     _set_fields,
 )
 
@@ -282,15 +283,22 @@ def _free_moments(mean, cov, state, value_rows):
     """
     free_idx = np.nonzero(state == FREE)[0]
     cond_idx = np.nonzero(state == CONDITIONED)[0]
-    if cond_idx.size == 0:
-        means = np.broadcast_to(mean[free_idx], (value_rows.shape[0], free_idx.size))
-        if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
-            return free_idx, means, cov
-        return free_idx, means, cov[np.ix_(free_idx, free_idx)]
-    factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
-    cross = _solve_lower(factor, cov[np.ix_(cond_idx, free_idx)])
-    cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    # Only MemoryError: no block is larger than ``cov``, and the factor and
+    # the solve raise ValueErrors of their own.
+    try:
+        if cond_idx.size == 0:
+            means = np.broadcast_to(mean[free_idx], (value_rows.shape[0], free_idx.size))
+            if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
+                return free_idx, means, cov
+            return free_idx, means, cov[np.ix_(free_idx, free_idx)]
+        factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
+        cross = _solve_lower(factor, cov[np.ix_(cond_idx, free_idx)])
+        cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
+        cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    except MemoryError:
+        c, f = cond_idx.size, free_idx.size
+        what = f"the blocks of {c} conditioned and {f} free coordinates"
+        raise _dense_memory_error(8 * (c * c + c * f + f * f), what) from None
     with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
         dev = _solve_lower(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T)
     return free_idx, mean[free_idx] + (cross.T @ dev).T, cond_cov
@@ -630,7 +638,12 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     randomized quasi-Monte Carlo iterated until the estimated standard error
     is at most ``tol``.  The first round of 10 x 1024 integrand evaluations
     always runs; each later round quadruples the points and runs only if it
-    keeps the total within ``max_points``.  The default seed is a fixed
+    keeps the total within ``max_points``.  In ``d >= 3`` dimensions one
+    integrand evaluation costs ``O(d**2)``: step ``i`` sums ``i`` earlier
+    coordinates.  A pass holds about ``17 * d`` bytes per point, its
+    coordinates and the integrand's ``d - 1`` inverse normals, over
+    ``2**14`` points or one scramble's points where those are more
+    (``1024 * 4**(j - 1)`` in round ``j``).  The default seed is a fixed
     documented constant so repeated calls agree; pass ``seed=None`` for a
     fresh nondeterministic stream.
 

@@ -15,7 +15,9 @@ scrambled Sobol oracle runs the direction-number recursion, the scramble and
 the Gray-code walk one bit and one point at a time on Python integers.  The
 quasi-Monte Carlo oracle is the per-engine round the stacked passes replaced:
 a floating-point scramble, one engine's points at a time and one
-integrand call per engine and row.
+integrand call per engine and row.  The filter oracle is the exact Kalman
+filter that computed every transient afresh, with no replay of one already
+seen.
 """
 
 import math
@@ -27,7 +29,8 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
-from garma import ArmaSpec, ToleranceNotReachedError, mvn
+from garma import ArmaSpec, NotPositiveDefiniteError, ToleranceNotReachedError, mvn
+from garma._statespace import _STEADY_TOL
 
 
 def naive_dft(x):
@@ -306,6 +309,49 @@ def qmc_cdf_reference(corr, z, tol, seed, max_points):
                 raise ToleranceNotReachedError(value, err)
         exponent += 2
     return [results[row] for row in range(len(factors))]
+
+
+def filter_reference(observed, model):
+    """``_statespace._filter`` stepping every run of observed positions from
+    its own start until it ends or turns steady, with one stack slot per
+    step and no reuse of a transient computed earlier in the call."""
+    transition, q_cov, p0 = model
+    m, r = observed.size, transition.shape[0]
+    back = transition.T
+    gains = np.zeros((m, r))
+    index = np.zeros(m, dtype=np.intp)
+    covs = np.empty((16, r, r))  # each step writes its P here; doubled when full
+    k, cov = 0, p0
+    edges = np.flatnonzero(observed[1:] != observed[:-1]) + 1
+    for start, end in zip([0, *edges], [*edges, m]):
+        if not observed[start]:
+            if end < m:
+                power = np.linalg.matrix_power(transition, end - start)
+                cov = p0 + power @ (cov - p0) @ power.T
+            continue
+        covs[k] = cov
+        for t in range(start, end):
+            if k + 1 == len(covs):
+                covs = np.concatenate((covs, np.empty_like(covs)))
+            f = cov[0, 0]
+            if not f > 0.0:
+                raise NotPositiveDefiniteError(
+                    f"one-step prediction variance {f!r} at position {t + 1} is not positive"
+                )
+            ahead = transition @ cov
+            gain = np.divide(ahead[:, 0], f, out=gains[t])
+            step = np.matmul(ahead, back, out=covs[k + 1])
+            step -= ahead[:, :1] * gain
+            step += q_cov
+            index[t] = k
+            k += 1
+            steady = np.abs(step - cov).max() <= _STEADY_TOL * f
+            cov = step
+            if steady:
+                gains[t + 1:end] = gain
+                index[t + 1:end] = k - 1
+                break
+    return covs[:k], gains, index
 
 
 def random_stationary_spec(rng, p_max=2, q_max=2, min_root=1.25, with_mean=True):

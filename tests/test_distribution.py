@@ -48,6 +48,7 @@ from conftest import (
     ar1_markov_log_density,
     brute_conditional,
     dense_pattern_log_density,
+    filter_reference,
     kalman_reference,
     random_stationary_spec,
 )
@@ -674,6 +675,75 @@ class TestKalmanEngine:
         assert np.all(np.abs(got_f - want_f[observed]) <= 1e-10 * want_f[observed])
         assert np.all(np.abs(gains - want_k) <= 1e-10 * np.maximum(1.0, np.abs(want_k)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["fast", "slow", "inverted"]),
+        shape=st.sampled_from(["periodic", "equal_gaps", "short_and_long", "random"]),
+        m=st.integers(1, 400),
+        lead=st.integers(0, 6),
+        trail=st.integers(0, 6),
+    )
+    @example(seed=1, kind="slow", shape="periodic", m=400, lead=3, trail=2)
+    @example(seed=2, kind="fast", shape="short_and_long", m=400, lead=0, trail=0)
+    def test_bit_identical_to_filter_reference(self, seed, kind, shape, m, lead, trail):
+        # Patterns whose transients repeat: isolated gaps at a fixed period,
+        # gaps of one length, and runs both shorter and longer than the
+        # transient, behind and ahead of optional leading and trailing gaps.
+        rng = np.random.default_rng(seed)
+        if kind == "slow":  # an MA root near -1 settles over hundreds of steps
+            ar = rng.uniform(-0.45, 0.45, size=rng.integers(0, 3))
+            spec = ArmaSpec(ar=ar, ma=(-rng.uniform(0.95, 0.995), rng.uniform(-0.05, 0.05)))
+        else:
+            spec = random_stationary_spec(rng, p_max=3, q_max=3, min_root=1.25)
+            if kind == "inverted":
+                spec = _invert_ma(spec)
+        observed = np.ones(m, dtype=bool)
+        if shape == "periodic":
+            observed[int(rng.integers(0, 8))::int(rng.integers(2, 30))] = False
+        elif shape == "equal_gaps":
+            gap = int(rng.integers(1, 8))
+            period = gap + int(rng.integers(1, 40))
+            for s in range(int(rng.integers(0, period)), m, period):
+                observed[s:s + gap] = False
+        elif shape == "short_and_long":
+            t = 0
+            while t < m:
+                t += int(rng.integers(1, 5) if rng.random() < 0.5 else rng.integers(30, 150))
+                observed[t:t + int(rng.integers(1, 4))] = False
+                t += 3
+        else:
+            observed = rng.random(m) < 0.8
+        observed[:lead] = False
+        observed[m - min(trail, m):] = False
+        observed[rng.integers(m)] = True
+
+        model = _statespace._state_space(spec, validate_stationary(spec))
+        pred, gains, index = _statespace._filter(observed, model)
+        want_pred, want_gains, want_index = filter_reference(observed, model)
+        assert np.array_equal(pred[index[observed]], want_pred[want_index[observed]])
+        assert np.array_equal(gains, want_gains)
+
+    @pytest.mark.parametrize("ma, bound_mib", [((0.4, 0.2), 16), ((-0.98, 0.1), 22)])
+    def test_peak_memory_with_isolated_gaps(self, ma, bound_mib):
+        # One isolated missing position in 20.  The fast-settling model turns
+        # steady between gaps, so its transients repeat and are replayed; the
+        # slowly settling one (an MA root at 1.16) never does, so every run
+        # adds its own transient to the stack.
+        m = 100_000
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=m)
+        x[2 * rng.choice(m // 2, size=m // 20, replace=False)] = np.nan
+        spec = ArmaSpec(ar=(0.5, -0.3), ma=ma)
+        tracemalloc.start()
+        try:
+            got = dgarma(x, spec, log=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got).all()
+        assert peak < bound_mib * 2**20
+
     def test_near_unit_ar1_matches_markov_likelihood(self):
         phi = 0.99999
         rng = np.random.default_rng(7)
@@ -1115,3 +1185,57 @@ class TestZeroDensity:
         rows = [[0.2, 0.3, 0.1], [1e200, 0.3, 1e200]]
         with pytest.raises(InvalidParamError, match="conditioned values of row 2"):
             dgarma(rows, ArmaSpec(ar=(0.5,)), cond=flags, log=True)
+
+
+class TestDenseAllocationLimit:
+    """A dense m x m allocation that the address space cannot hold is an
+    InvalidParamError naming its bytes and the O(m) functions, not a bare
+    MemoryError."""
+
+    def test_typed_error_under_a_lowered_address_space_limit(self):
+        pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("RLIMIT_AS is enforced on Linux only")
+        # The child lowers its own limit to what it uses plus 1 GiB, so every
+        # small allocation fits and no m x m matrix (7.2 GB at m = 30,000) does.
+        code = textwrap.dedent("""
+            import os, resource, time
+            import numpy as np
+            from garma import ArmaSpec, InvalidParamError, mvn, pgarma, variance_matrix
+            from garma.conditioning import CONDITIONED, FREE
+
+            m = 30_000
+            spec = ArmaSpec(ar=(0.5,), ma=(0.3,))
+            flags = np.ones(m, dtype=bool)
+            flags[[10, 15_000, m - 5]] = False
+            state = np.where(flags, CONDITIONED, FREE)
+            calls = [
+                lambda: variance_matrix(m, spec),
+                lambda: pgarma(np.zeros(m), spec, cond=flags),
+                lambda: mvn._free_moments(np.zeros(m), np.broadcast_to(1.0, (m, m)),
+                                          state, np.zeros((1, m))),
+            ]
+            used = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = used + 2**30
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+            for call in calls:
+                began = time.perf_counter()
+                try:
+                    call()
+                    print("returned")
+                except InvalidParamError as exc:
+                    print(f"InvalidParamError {time.perf_counter() - began:.3f} {exc}")
+        """)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 3
+        for line, nbytes in zip(lines, [7_200_000_000, 7_200_000_000, 7_199_280_072]):
+            kind, seconds, message = line.split(" ", 2)
+            assert kind == "InvalidParamError"
+            assert float(seconds) < 10.0
+            assert f"cannot allocate {nbytes} bytes" in message
+            assert "dgarma and rgarma" in message
