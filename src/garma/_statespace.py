@@ -35,17 +35,18 @@ _NEGLIGIBLE = 2.0**-60
 
 def log_density(dev, kept, cond, spec, moduli):
     """``log p(kept) - log p(cond)`` for each row of ``dev`` (rows minus the
-    mean); kept deviations must be finite, conditioned ones of nonzero density."""
+    mean); kept deviations must be finite, conditioned ones of nonzero density.
+    Both passes observe the same positions before the first free one, so each
+    is summed from it; the kept pass's terms before it are log p(cond there)."""
     _check_finite(dev[:, kept])
     model = _state_space(spec, moduli)
-    logdens = _filter_log_density(dev, kept, model)
-    if cond.any():
-        given = _filter_log_density(dev, cond, model)
-        bad = np.flatnonzero(np.isinf(given))
-        if bad.size:  # log p(kept) - log p(cond) would be -inf minus -inf
-            raise InvalidParamError(f"the conditioned values of row {bad[0] + 1} have zero density")
-        logdens -= given
-    return logdens
+    first = (kept & ~cond).argmax()
+    head, logdens = _filter_log_density(dev, kept, model, first)
+    given = _filter_log_density(dev, cond, model, first)[1] if cond[first:].any() else 0.0
+    bad = np.flatnonzero(np.isinf(head) | np.isinf(given))
+    if bad.size:  # log p(kept) - log p(cond) would be -inf minus -inf
+        raise InvalidParamError(f"the conditioned values of row {bad[0] + 1} have zero density")
+    return logdens - given
 
 
 def draw(dev, cond, spec, moduli, z):
@@ -119,9 +120,8 @@ def _filter(observed, model):
     limit = np.count_nonzero(observed) + edges.size // 2 + 1
     for start, end in zip([0, *edges], [*edges, m]):
         if not observed[start]:
-            if end < m:
-                power = np.linalg.matrix_power(transition, end - start)
-                cov = p0 + power @ (cov - p0) @ power.T
+            power = np.linalg.matrix_power(transition, end - start)
+            cov = p0 + power @ (cov - p0) @ power.T
             continue
         t = start
         while t < end:
@@ -174,9 +174,10 @@ def _grown(stack, limit):
     return np.concatenate((stack, np.empty((more, *stack.shape[1:]))))
 
 
-def _filter_log_density(dev, observed, model):
-    """Exact Gaussian log-density of the ``observed`` columns of each row of
-    ``dev`` (the rows minus the mean), by the Kalman filter.
+def _filter_log_density(dev, observed, model, start=0):
+    """Exact Gaussian log-densities of the ``observed`` columns of each row of
+    ``dev`` (the rows minus the mean) before column ``start`` and from it on,
+    by the Kalman filter: two arrays, which sum to the log-density of them all.
 
     With ``x`` the rows set to zero at unobserved positions, the innovations
     ``v`` solve ``v[t] + sum_k (K[t-k][k-1] - phi[k-1]) v[t-k] = x[t] - sum_k
@@ -197,7 +198,8 @@ def _filter_log_density(dev, observed, model):
     innov = dtbtrs(band, rhs.T, uplo="L", diag="U")[0][observed]
     scale = np.sqrt(pred[index[observed], 0, 0])
     with np.errstate(over="ignore"):  # an overflow is a zero density
-        return _normal_log_density(innov / scale[:, None], scale)
+        z, cut = innov / scale[:, None], np.count_nonzero(observed[:start])
+        return _normal_log_density(z[:cut], scale[:cut]), _normal_log_density(z[cut:], scale[cut:])
 
 
 def _power_table(transition, q_cov, count):

@@ -187,13 +187,10 @@ def _poly_roots(coeffs):
     matrix; the AR polynomial is ``_poly_roots(-ar)``.
 
     Trailing zero coefficients are trimmed first, so they reduce the degree
-    instead of producing spurious infinite roots."""
+    instead of producing spurious infinite roots; a constant has no roots."""
     coeffs = np.concatenate(([1.0], np.asarray(coeffs, dtype=float)))
     nz = np.nonzero(coeffs)[0]
-    coeffs = coeffs[: nz[-1] + 1]
-    if len(coeffs) == 1:
-        return np.empty(0, dtype=complex)
-    return np.polynomial.polynomial.polyroots(coeffs)
+    return np.polynomial.polynomial.polyroots(coeffs[: nz[-1] + 1])
 
 
 def validate_stationary(spec: ArmaSpec) -> np.ndarray:
@@ -519,13 +516,10 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
     n = _check_count("n", n, 1)
     moduli = validate_stationary(spec)
     _warn_shared_roots(spec, moduli)
-    full = _covariance(n, spec, moduli)
-    if cond is None:
-        entries = _cov_to_corr(full) if corr else full
-        return VarianceMatrix(entries=entries, index_labels=range(1, n + 1))
-
-    _require_free(cond, n)
-    free_idx, _, entries = _free_moments(np.zeros(n), full, cond.state, np.zeros((1, n)))
+    free_idx, entries = np.arange(n), _covariance(n, spec, moduli)
+    if cond is not None:
+        _require_free(cond, n)
+        free_idx, _, entries = _free_moments(np.zeros(n), entries, cond.state, np.zeros((1, n)))
     if corr:
         entries = _cov_to_corr(entries)
     return VarianceMatrix(entries=entries, index_labels=free_idx + 1)

@@ -65,8 +65,8 @@ def _parse_float_token(token, where):
         value = float(token)
     except ValueError:
         raise UsageError(f"{where}: cannot parse {token!r} as a number") from None
-    if np.isnan(value):
-        raise UsageError(f"{where}: use the token NA for missing values, not {token!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{where}: values must be finite numbers or the token NA, not {token!r}")
     return value
 
 
@@ -306,10 +306,8 @@ def _input_rows(args):
     if not args.cond:
         return rows, None
     flags, overrides = _parse_cond(args.cond, rows.shape[1])
-    if overrides:
-        rows = rows.copy()
-        for col, value in overrides.items():
-            rows[:, col] = value
+    for col, value in overrides.items():
+        rows[:, col] = value
     return rows, flags
 
 

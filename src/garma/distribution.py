@@ -100,6 +100,9 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     positions it does not observe (Jones 1980; Gardner, Harvey & Phillips
     1980), started from the exact stationary state covariance.  Both passes,
     and :func:`rgarma`, run the one filter :func:`garma._statespace._filter`.
+    Each is summed from the first free position, before which both observe the
+    same positions, so conditioned values there cancel exactly; later ones
+    still go through the subtraction, which loses digits far from the mean.
     With ``r = max(p, q + 1)`` a pass costs ``O(m r**3)`` time and at most
     ``O(m r**2)`` memory: the filter runs once for all rows, stops updating
     once it is steady and crosses each unobserved run in one step, and the
@@ -152,11 +155,11 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     """
     tol = _check_tol("tol", tol)
     seed = _check_seed(seed)
-    if isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, (int, list)):
+        seed = np.random.SeedSequence(seed)
+    if isinstance(seed, np.random.SeedSequence):  # its first child, leaving it as it is
         seed = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0),
                                       pool_size=seed.pool_size)
-    elif isinstance(seed, (int, list)):
-        seed = np.random.SeedSequence(seed, spawn_key=(0,))
     rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
     pattern = _row_pattern(rows, cond)

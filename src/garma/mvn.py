@@ -278,19 +278,14 @@ def _free_moments(mean, cov, state, value_rows):
     conditioned columns are read).
 
     MARGINALISED coordinates are left out of every block; one Schur
-    complement, shared by all rows, then absorbs the conditioned block.
-    Returns ``(free_idx, means, cov)`` with one row of ``means`` per value row.
+    complement, shared by all rows, then absorbs the conditioned block (0 x 0
+    if none).  Returns ``(free_idx, means, cov)``, one row of means per row.
     """
     free_idx = np.nonzero(state == FREE)[0]
     cond_idx = np.nonzero(state == CONDITIONED)[0]
     # Only MemoryError: no block is larger than ``cov``, and the factor and
     # the solve raise ValueErrors of their own.
     try:
-        if cond_idx.size == 0:
-            means = np.broadcast_to(mean[free_idx], (value_rows.shape[0], free_idx.size))
-            if free_idx.size == state.size:  # nothing to drop: skip an O(m^2) copy
-                return free_idx, means, cov
-            return free_idx, means, cov[np.ix_(free_idx, free_idx)]
         factor = _factor(cov[np.ix_(cond_idx, cond_idx)])
         cross = _solve_lower(factor, cov[np.ix_(cond_idx, free_idx)])
         cond_cov = cov[np.ix_(free_idx, free_idx)] - cross.T @ cross
@@ -308,8 +303,11 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
     """Moments of the free coordinates given the conditioned ones.
 
     Marginalised coordinates are dropped first (rows and columns deleted),
-    then the conditioned block is absorbed by a Schur complement.  With no
-    conditioned or marginalised coordinates the inputs are returned exactly.
+    then the conditioned block is absorbed by a Schur complement.  With
+    nothing conditioned the moments equal the inputs' free blocks, in new
+    arrays, and the covariance is symmetrised as whenever something is
+    conditioned: one that :class:`GaussianParams` accepted as symmetric
+    within 1e-8 comes back exactly symmetric.
 
     ``values`` supplies the conditioning values; it may have one entry per
     conditioned position, or the full pattern length (entries at conditioned
@@ -359,20 +357,20 @@ def _bvn_cdf(z, r):
 
     One 20-point Gauss-Legendre rule integrates Drezner and Wesolowsky's
     (1990) single-integral form below |r| = 0.925 and Genz's (2004)
-    transformed expansion from there up, with closed forms at r = 0 and
-    |r| = 1.  Limits are clamped to +-40, past which every term is 0 or 1 in
-    double precision.  Each row sums its own nodes: no row depends on another.
+    transformed expansion from there up, with a closed form at |r| = 1 (at
+    r = 0 the quadrature term is scaled by ``asin(0) = 0``).  Limits are
+    clamped to +-40, past which every term is 0 or 1 in double precision.
+    Each row sums its own nodes: no row depends on another.
     """
     ndtr = _kernels().ndtr
     h, k = -z.clip(-40.0, 40.0).T[:, :, None]  # Genz's P(X > h, Y > k)
     hk = h * k
     if abs(r) < 0.925:
         bvn = ndtr(-h) * ndtr(-k)
-        if r != 0.0:
-            asr = math.asin(r)
-            sn = np.sin(asr * _GL_NODES)
-            terms = np.exp((sn * hk - (h * h + k * k) / 2.0) / (1.0 - sn * sn))
-            bvn = (terms * _GL_WEIGHTS).sum(axis=1, keepdims=True) * asr / (2.0 * math.pi) + bvn
+        asr = math.asin(r)
+        sn = np.sin(asr * _GL_NODES)
+        terms = np.exp((sn * hk - (h * h + k * k) / 2.0) / (1.0 - sn * sn))
+        bvn = (terms * _GL_WEIGHTS).sum(axis=1, keepdims=True) * asr / (2.0 * math.pi) + bvn
         return bvn[:, 0].clip(0.0, 1.0)
     if r < 0.0:
         k, hk = -k, -hk
@@ -621,11 +619,12 @@ def _rectangle_cdf(upper, mean, cov, tol, seed, max_points):
     if sd.size == 1:
         return [CdfResult(value=v, error_estimate=1e-16, method="closed_form_1d")
                 for v in _kernels().ndtr(z[:, 0])]
+    corr = _cov_to_corr(cov)
     if sd.size == 2:
-        rho = min(max(float(cov[0, 1] / (sd[0] * sd[1])), -1.0), 1.0)  # as _cov_to_corr
+        rho = min(max(float(corr[0, 1]), -1.0), 1.0)
         return [CdfResult(value=v, error_estimate=1e-14, method="quadrature_2d")
                 for v in _bvn_cdf(z, rho)]
-    return _qmc_cdf(_cov_to_corr(cov), z, tol, seed, max_points)
+    return _qmc_cdf(corr, z, tol, seed, max_points)
 
 
 def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_SEED,

@@ -469,6 +469,10 @@ class TestVarianceMatrix:
         vm = variance_matrix(5, GARMA22, corr=True)
         assert np.array_equal(np.diag(vm.entries), np.ones(5))
 
+    def test_cond_must_be_a_pattern(self):
+        with pytest.raises(InvalidParamError, match="cond must be a CondPattern"):
+            variance_matrix(3, GARMA22, cond=[0, 1, 0])
+
     def test_conditional_value_free(self):
         pat_a = build_pattern(condvals=[5.0, np.nan])
         pat_b = build_pattern(condvals=[-3.0, np.nan])

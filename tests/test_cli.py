@@ -577,6 +577,83 @@ class TestFlagValues:
         assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
+# Input files for the usage-error tests, by the name their argv uses.
+FILES = {
+    "na.csv": "0.3,NA,0.1,0.5\n",
+    "ok.csv": "0.3,0.2\n",
+    "two.csv": "1,2\n3,4\n",
+    "empty.csv": "\n\n",
+    "ragged.csv": "1,2,3\n4,5\n",
+}
+
+
+def with_files(tmp_path, argv):
+    """``argv`` with each name in FILES written to ``tmp_path`` and replaced
+    by its path there (an ``@`` prefix kept)."""
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+
+    def path(arg):
+        at, name = ("@", arg[1:]) if arg.startswith("@") else ("", arg)
+        return f"{at}{tmp_path / name}" if name in FILES else arg
+
+    return [path(arg) for arg in argv]
+
+
+class TestNonFiniteTokens:
+    """A non-finite number other than the token NA is a usage error naming
+    its flag, in a CSV cell and in every flag that takes numbers."""
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999"])
+    def test_input_cell(self, capsys, tmp_path, token):
+        path = tmp_path / "x.csv"
+        path.write_text(f"0.3,{token},0.1\n")
+        code, out, err = run_cli(capsys, "density", "--input", str(path), "--ar", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: --input: values must be finite numbers or the token NA, "
+                       f"not {token!r}\n")
+
+    @pytest.mark.parametrize("argv, flag, token", [
+        (("var", "--n", "3", "--condvals", "1,inf,NA"), "--condvals", "inf"),
+        (("sample", "--n", "1", "--m", "2", "--seed", "1", "--condvals=-inf,NA"),
+         "--condvals", "-inf"),
+        (("density", "--input", "ok.csv", "--cond", "1:inf"), "--cond", "inf"),
+        (("acf", "--n", "3", "--ar", "0.5,inf"), "--ar", "inf"),
+        (("acf", "--n", "3", "--ma=-inf"), "--ma", "-inf"),
+    ])
+    def test_flag_value(self, capsys, tmp_path, argv, flag, token):
+        code, out, err = run_cli(capsys, *with_files(tmp_path, argv))
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: {flag}: values must be finite numbers or the token NA, "
+                       f"not {token!r}\n")
+
+
+class TestUsageErrors:
+    """Malformed input files and flag values are usage errors, each with its
+    own message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("intensity", "--input", "na.csv"), "--input: intensity input must not contain NA values"),
+        (("spectrum-test", "--input", "na.csv", "--seed", "1"),
+         "--input: spectrum-test input must not contain NA values"),
+        (("var", "--n", "3", "--condvals", "1,NA"), "--condvals has length 2, --n is 3"),
+        (("var", "--n", "2", "--condvals", "@two.csv"),
+         "--condvals: {two} must contain exactly one row"),
+        (("density", "--input", "ok.csv", "--cond", "x"), "--cond: bad index 'x'"),
+        (("density", "--input", "ok.csv", "--cond", "1:NA"),
+         "--cond: conditioning values must be numbers, not NA"),
+        (("acf", "--n", "3", "--ar", "NA"), "--ar/--ma coefficients must be numbers, not NA"),
+        (("density", "--input", "empty.csv"), "--input: {empty} contains no data rows"),
+        (("density", "--input", "ragged.csv"),
+         "--input: rows in {ragged} have unequal lengths [2, 3]"),
+    ])
+    def test_message(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, *with_files(tmp_path, argv))
+        paths = {name.removesuffix(".csv"): tmp_path / name for name in FILES}
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {message.format(**paths)}\n"
+
+
 class TestUnwritablePaths:
     def test_output(self, capsys, tmp_path):
         target = tmp_path / "absent" / "acf.csv"

@@ -134,6 +134,15 @@ class TestBuildPattern:
     def test_missing_as_integers(self):
         assert np.array_equal(build_pattern(missing=[1, 0, 0]).state, [MARGINALISED, FREE, FREE])
 
+    def test_two_dimensional_condvals(self):
+        with pytest.raises(InvalidParamError, match="condvals must be one-dimensional"):
+            build_pattern(condvals=[[1.0, np.nan]])
+
+    def test_values_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="values have length 1, pattern has length 2"):
+            build_pattern(missing=[False, False], cond_flags=[True, False], values=[1.0])
+
 
 @st.composite
 def flagged_rows(draw):
@@ -1185,6 +1194,36 @@ class TestZeroDensity:
         rows = [[0.2, 0.3, 0.1], [1e200, 0.3, 1e200]]
         with pytest.raises(InvalidParamError, match="conditioned values of row 2"):
             dgarma(rows, ArmaSpec(ar=(0.5,)), cond=flags, log=True)
+
+
+class TestConditionedPrefix:
+    """Before the first free position the kept and conditioned passes observe
+    the same positions, so the conditioned values there cancel exactly."""
+
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e8, 1e10])
+    def test_far_conditioned_value_before_every_free_one(self, c):
+        # Under MA(1), y3 is independent of y1: the density cannot depend on c.
+        spec, flags = ArmaSpec(ma=(0.5,)), [True, False, False]
+        want = dgarma([0.0, np.nan, 0.1], spec, cond=flags, log=True)[0]
+        got = dgarma([c, np.nan, 0.1], spec, cond=flags, log=True)[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("flags, passes", [
+        ([True, True, False, False], 1),
+        ([True, False, True, False], 2),
+        ([False, False, False, True], 2),
+    ])
+    def test_conditioned_pass_runs_only_when_a_conditioned_position_follows(
+            self, monkeypatch, flags, passes):
+        calls = []
+        original = _statespace._filter
+        monkeypatch.setattr(_statespace, "_filter",
+                            lambda *args: calls.append(1) or original(*args))
+        x = [0.4, -0.2, 0.9, 0.1]
+        got = dgarma(x, GARMA22, cond=flags, log=True)
+        assert len(calls) == passes
+        want = dense_pattern_log_density(GARMA22, x, np.zeros(4, dtype=bool), flags)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestDenseAllocationLimit:

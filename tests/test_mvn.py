@@ -316,6 +316,12 @@ class TestConditionalMoments:
 
 
 class TestMvnCdf:
+    @pytest.mark.parametrize("upper", [[0.0, 1.0, 2.0], [[0.0, 1.0]]])
+    def test_upper_of_the_wrong_shape(self, upper):
+        params = mvn.GaussianParams(mean=[0.0, 0.0], cov=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="distribution has dimension 2"):
+            mvn.mvn_cdf(upper, params)
+
     def test_univariate_median(self):
         params = mvn.GaussianParams(mean=[0.0], cov=[[1.0]])
         result = mvn.mvn_cdf([0.0], params)

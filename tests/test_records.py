@@ -1,5 +1,6 @@
-"""Tests for the result records: frozen, with read-only array fields, and
-leaving the arrays they were built from as they were."""
+"""Tests for the result records: frozen, with read-only array fields,
+leaving the arrays they were built from as they were, and rejecting malformed
+fields with typed errors."""
 
 import dataclasses
 
@@ -10,7 +11,9 @@ from garma import (
     AcvSequence,
     ArmaSpec,
     CondPattern,
+    DimensionMismatchError,
     IntensityVector,
+    InvalidParamError,
     PsiWeights,
     SpectrumTestResult,
     VarianceMatrix,
@@ -63,3 +66,31 @@ def test_array_fields_read_only_and_inputs_untouched(kind):
             shared = any(np.shares_memory(value, a) for a in (vec, mat, state))
             assert shared == ((kind, name) not in COPIES), name
     assert vec.flags.writeable and mat.flags.writeable and state.flags.writeable
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: CondPattern(state=[[0, 1]]), InvalidParamError,
+     "pattern state must be one-dimensional"),
+    (lambda: CondPattern(state=[0, 3]), InvalidParamError,
+     "pattern state codes must be 0, 1, or 2"),
+    (lambda: CondPattern(state=[0, 1], values=[1.0]), DimensionMismatchError,
+     "pattern values have shape (1,), state has shape (2,)"),
+    (lambda: mvn.GaussianParams(mean=[[0.0, 1.0]], cov=np.eye(2)), InvalidParamError,
+     "mean must be one-dimensional"),
+    (lambda: mvn.GaussianParams(mean=[0.0, 1.0], cov=[[1.0, np.inf], [np.inf, 1.0]]),
+     InvalidParamError, "covariance entries must all be finite"),
+    (lambda: mvn.CdfResult(1.5, 0.0, "qmc"), InvalidParamError,
+     "probability out of range: 1.5"),
+    (lambda: ArmaSpec(ar=[[0.5]]), InvalidParamError,
+     "ar must be a one-dimensional sequence"),
+])
+def test_malformed_fields_raise_typed_errors(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_derived_properties():
+    assert AcvSequence(values=[1.0, 0.5, 0.25]).lag_count == 3
+    labels = VarianceMatrix(entries=np.eye(2), index_labels=(2, 5)).labels
+    assert labels == ["Time[2]", "Time[5]"]

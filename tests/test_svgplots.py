@@ -1,8 +1,9 @@
 """Tests for the SVG plot emitter."""
 
 import numpy as np
+import pytest
 
-from garma import emit_plot, intensity, spectrum_test
+from garma import InvalidParamError, emit_plot, intensity, spectrum_test
 
 
 def test_series_plot_deterministic(tmp_path):
@@ -54,3 +55,18 @@ def test_spectrum_result_with_n3_is_plotted(tmp_path):
     content = path.read_text()
     assert content.startswith("<svg")
     assert content.count('fill="#a6c8e0"') == 1  # one histogram bar
+
+
+def test_series_vector_is_one_row(tmp_path):
+    vector, matrix = tmp_path / "vector.svg", tmp_path / "matrix.svg"
+    emit_plot(np.array([0.1, -0.2, 0.3]), vector)
+    emit_plot(np.array([[0.1, -0.2, 0.3]]), matrix)
+    assert vector.read_text() == matrix.read_text()
+    assert vector.read_text().count("<polyline") == 1
+
+
+def test_three_dimensional_array_rejected(tmp_path):
+    path = tmp_path / "cube.svg"
+    with pytest.raises(InvalidParamError, match="emit_plot accepts a finite series vector"):
+        emit_plot(np.zeros((2, 2, 2)), path)
+    assert not path.exists()
