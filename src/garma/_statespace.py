@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arma import _ar_recursion, _covariance, _invertible_ma
-from .errors import InvalidParamError, NotPositiveDefiniteError, _check_finite
+from .errors import InvalidParamError, NotPositiveDefiniteError
 from .mvn import _kernels, _normal_log_density
 
 # Change of the filter covariance, relative to the one-step prediction
@@ -34,11 +34,11 @@ _NEGLIGIBLE = 2.0**-60
 
 
 def log_density(dev, kept, cond, spec, moduli):
-    """``log p(kept) - log p(cond)`` for each row of ``dev`` (rows minus the
-    mean); kept deviations must be finite, conditioned ones of nonzero density.
+    """``log p(kept) - log p(cond)`` for each row of ``dev``, the rows minus the
+    mean, which :func:`garma.errors._deviation` has checked at the ``kept``
+    positions; conditioned values of zero density raise InvalidParamError.
     Both passes observe the same positions before the first free one, so each
     is summed from it; the kept pass's terms before it are log p(cond there)."""
-    _check_finite(dev[:, kept])
     model = _state_space(spec, moduli)
     first = (kept & ~cond).argmax()
     head, logdens = _filter_log_density(dev, kept, model, first)
@@ -51,8 +51,7 @@ def log_density(dev, kept, cond, spec, moduli):
 
 def draw(dev, cond, spec, moduli, z):
     """:func:`_conditional_draw` on the invertible moving average with ``spec``'s
-    autocovariances; a deviation at a ``cond`` position must be finite."""
-    _check_finite(dev[cond], "condvals")
+    autocovariances, from deviations :func:`garma.errors._deviation` checked at ``cond``."""
     return _conditional_draw(dev, cond, _state_space(_invertible_ma(spec), moduli), z)
 
 

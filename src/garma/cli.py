@@ -153,13 +153,14 @@ def _effective_seed(args, needed_reason):
     )
 
 
-def _positive(parse):
-    """An argparse type: ``parse``, then require ``0 < value < inf``.  Its name
+def _finite(parse, low=-math.inf):
+    """An argparse type: ``parse``, then require ``low < value < inf``.  Its name
     stays ``parse``'s, so argparse still reports "invalid int value"."""
     def check(text):
         value = parse(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        if not low < value < math.inf:
+            bound = "" if low == -math.inf else f" and > {low}"
+            raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text}")
         return value
 
     check.__name__ = parse.__name__
@@ -171,8 +172,8 @@ def _add_model_flags(sub):
                      help="autoregressive coefficients")
     sub.add_argument("--ma", default="", metavar="C1,C2,...",
                      help="moving-average coefficients")
-    sub.add_argument("--mean", type=float, default=0.0, help="stationary mean")
-    sub.add_argument("--errorvar", type=float, default=1.0,
+    sub.add_argument("--mean", type=_finite(float), default=0.0, help="stationary mean")
+    sub.add_argument("--errorvar", type=_finite(float, 0), default=1.0,
                      help="innovation variance (> 0)")
 
 
@@ -205,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     acf = subs.add_parser("acf", help="autocovariance or autocorrelation at lags 0..n-1")
-    acf.add_argument("--n", type=_positive(int), required=True, help="number of lags (>= 1)")
+    acf.add_argument("--n", type=_finite(int, 0), required=True, help="number of lags (>= 1)")
     acf.add_argument("--corr", action="store_true", help="return correlations")
     _add_model_flags(acf)
     _add_io_flags(acf, _cmd_acf)
 
     var = subs.add_parser("var", help="(conditional) variance or correlation matrix")
-    var.add_argument("--n", type=_positive(int), required=True,
+    var.add_argument("--n", type=_finite(int, 0), required=True,
                      help="number of observations (>= 1)")
     var.add_argument("--corr", action="store_true", help="return correlations")
     var.add_argument("--condvals", metavar="V1,NA,V3,... or @FILE.csv",
@@ -229,16 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     cdf = subs.add_parser("cdf", help="P(free positions <= row values)")
     cdf.add_argument("--input", required=True, metavar="FILE.csv")
     _add_cond_flags(cdf, "return log-probabilities")
-    cdf.add_argument("--tol", type=_positive(float), default=1e-5,
+    cdf.add_argument("--tol", type=_finite(float, 0), default=1e-5,
                      help="standard-error target for the monte carlo CDF (default 1e-5)")
     _add_seed_flags(cdf, "seed (required when 3+ free positions remain)")
     _add_model_flags(cdf)
     _add_io_flags(cdf, _cmd_cdf)
 
     smp = subs.add_parser("sample", help="draw series rows from the model")
-    smp.add_argument("--n", type=_positive(int), required=True,
+    smp.add_argument("--n", type=_finite(int, 0), required=True,
                      help="number of series to draw")
-    smp.add_argument("--m", type=_positive(int), required=True, help="length of each series")
+    smp.add_argument("--m", type=_finite(int, 0), required=True, help="length of each series")
     smp.add_argument("--condvals", metavar="V1,NA,V3,... or @FILE.csv",
                      help="pin positions with numbers; NA positions are drawn")
     _add_seed_flags(smp, "seed (required unless --nondeterministic)")
@@ -259,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="permutation test for a periodic signal")
     stest.add_argument("--input", required=True, metavar="FILE.csv",
                        help="a single series row")
-    stest.add_argument("--sims", type=_positive(int), default=1_000_000,
+    stest.add_argument("--sims", type=_finite(int, 0), default=1_000_000,
                        help="number of permutations (default 1000000)")
     _add_seed_flags(stest, "seed (required unless --nondeterministic)")
-    stest.add_argument("--workers", type=_positive(int), default=1,
+    stest.add_argument("--workers", type=_finite(int, 0), default=1,
                        help="worker threads; does not change the result")
     stest.add_argument("--progress", action=argparse.BooleanOptionalAction, default=True,
                        help="progress line on stderr (default on)")

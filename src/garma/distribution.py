@@ -29,6 +29,7 @@ from .errors import (
     _check_count,
     _check_seed,
     _check_tol,
+    _deviation,
 )
 from .mvn import _DEFAULT_MAX_POINTS, DEFAULT_CDF_SEED, _free_moments, _rectangle_cdf
 
@@ -127,9 +128,8 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     if not pattern.free_mask.any():
         return _degenerate_unit("density", rows.shape[0], log)
     _warn_shared_roots(spec, moduli)
-    with np.errstate(over="ignore"):  # the engine rejects a deviation that overflows
-        dev = rows - spec.mean
-    logdens = log_density(dev, ~pattern.marg_mask, pattern.cond_mask, spec, moduli)
+    kept = ~pattern.marg_mask
+    logdens = log_density(_deviation(rows, spec.mean, kept), kept, pattern.cond_mask, spec, moduli)
     return logdens if log else np.exp(logdens)
 
 
@@ -219,7 +219,6 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
 
     _warn_shared_roots(spec, moduli)
     z = np.random.default_rng(seed).standard_normal((n, m - np.count_nonzero(cond)))
-    with np.errstate(over="ignore"):  # the engine rejects a deviation that overflows
-        dev = pattern.values - spec.mean
+    dev = _deviation(pattern.values, spec.mean, cond, "condvals")
     out[:, ~cond] = spec.mean + draw(dev, cond, spec, moduli, z)[:, ~cond]
     return out

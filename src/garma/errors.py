@@ -181,10 +181,14 @@ def _dense_memory_error(nbytes, what):
     )
 
 
-def _check_finite(dev, name=None):
-    """:class:`InvalidParamError` unless each row of ``dev`` (values minus their
-    mean, along the last axis) is finite, naming ``name`` or the first bad row."""
-    finite = np.isfinite(dev).all(axis=-1)
+def _deviation(values, mean, checked=slice(None), name=None):
+    """``values - mean``, the one checked input of the Gaussian engines, without
+    an overflow warning: :class:`InvalidParamError`, naming ``name`` or the first
+    bad row, unless each row of its ``checked`` columns (last axis) is finite."""
+    with np.errstate(over="ignore"):
+        dev = values - mean
+    finite = np.isfinite(dev[..., checked]).all(axis=-1)
     if not finite.all():
         where = name or f"row {int(np.argmin(finite)) + 1}"
         raise InvalidParamError(f"values must be finite: {where} minus the mean is not")
+    return dev

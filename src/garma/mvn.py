@@ -31,10 +31,10 @@ from .errors import (
     NumericalAdjustmentWarning,
     ToleranceNotReachedError,
     _check_count,
-    _check_finite,
     _check_seed,
     _check_tol,
     _dense_memory_error,
+    _deviation,
     _set_fields,
 )
 
@@ -111,13 +111,9 @@ def _kernels():
 
 def _solve_lower(factor, rhs):
     """``factor^-1 @ rhs`` for a lower-triangular Cholesky ``factor``, by
-    LAPACK's ``dtrtrs``.
-
-    A column of ``rhs`` with a NaN or an infinity raises
-    :class:`InvalidParamError`, which calls column ``j`` row ``j + 1``: the
-    callers pass rows of values minus the mean as columns.
+    LAPACK's ``dtrtrs``, for a finite ``rhs``: the callers pass blocks of a
+    checked covariance or deviations :func:`garma.errors._deviation` returned.
     """
-    _check_finite(rhs.T)
     if rhs.size == 0:  # LAPACK rejects a system of order 0
         return np.zeros(rhs.shape)
     # The transpose of the C-ordered factor is an upper factor in Fortran
@@ -129,22 +125,23 @@ def _solve_lower(factor, rhs):
     return x
 
 
-def _check_square_sym(cov):
+def _symmetric(cov):
+    """``cov`` as a new float matrix made exactly symmetric, ``(c + c.T) / 2``,
+    once it is square, finite and symmetric within 1e-8 of its largest entry."""
     c = np.asarray(cov, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatchError(f"covariance must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidParamError("covariance entries must all be finite")
-    scale = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
-    if c.size and float(np.abs(c - c.T).max()) > 1e-8 * scale:
+    if np.abs(c - c.T).max(initial=0.0) > 1e-8 * np.abs(c).max(initial=1.0):
         raise InvalidParamError("covariance must be symmetric")
-    return c
+    return 0.5 * (c + c.T)
 
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean vector and covariance matrix of a multivariate normal, each a
-    read-only copy of the array passed in."""
+    """Mean vector and covariance matrix of a multivariate normal, as read-only
+    copies, the covariance made exactly symmetric by :func:`_symmetric`."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -155,12 +152,12 @@ class GaussianParams:
             raise InvalidParamError("mean must be one-dimensional")
         if not np.all(np.isfinite(mean)):
             raise InvalidParamError("mean entries must all be finite")
-        cov = _check_square_sym(self.cov)
+        cov = _symmetric(self.cov)
         if cov.shape[0] != mean.shape[0]:
             raise DimensionMismatchError(
                 f"mean has length {mean.shape[0]}, covariance is {cov.shape[0]}x{cov.shape[1]}"
             )
-        _set_fields(self, mean=mean.copy(), cov=cov.copy())
+        _set_fields(self, mean=mean.copy(), cov=cov)
 
     @property
     def dim(self) -> int:
@@ -201,7 +198,7 @@ class CdfResult:
 
 def _factor(c):
     """Lower Cholesky factor of a finite, exactly symmetric covariance (one
-    the library built, or one :func:`cholesky` has checked).
+    the library built, or one :func:`_symmetric` returned).
 
     On failure the diagonal is inflated by ``eps * mean(diag)`` for ``eps``
     escalating from 1e-14 to 1e-8, with a :class:`NumericalAdjustmentWarning`
@@ -233,8 +230,7 @@ def cholesky(cov) -> np.ndarray:
     escalating from 1e-14 to 1e-8 before giving up; an inflation is reported
     by a :class:`~garma.errors.NumericalAdjustmentWarning` carrying ``eps``.
     """
-    c = _check_square_sym(cov)
-    return _factor(0.5 * (c + c.T))
+    return _factor(_symmetric(cov))
 
 
 def log_density(x, params: GaussianParams):
@@ -250,9 +246,8 @@ def log_density(x, params: GaussianParams):
         raise DimensionMismatchError(
             f"x has {rows.shape[1]} columns, distribution has dimension {p.dim}"
         )
-    factor = cholesky(p.cov)
-    with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
-        z = _solve_lower(factor, (rows - p.mean).T)
+    factor = _factor(p.cov)
+    z = _solve_lower(factor, _deviation(rows, p.mean).T)
     out = _normal_log_density(z, np.diag(factor))
     return float(out[0]) if single else out
 
@@ -294,8 +289,7 @@ def _free_moments(mean, cov, state, value_rows):
         c, f = cond_idx.size, free_idx.size
         what = f"the blocks of {c} conditioned and {f} free coordinates"
         raise _dense_memory_error(8 * (c * c + c * f + f * f), what) from None
-    with np.errstate(over="ignore"):  # an overflow fails _solve_lower's finite check
-        dev = _solve_lower(factor, (value_rows[:, cond_idx] - mean[cond_idx]).T)
+    dev = _solve_lower(factor, _deviation(value_rows[:, cond_idx], mean[cond_idx]).T)
     return free_idx, mean[free_idx] + (cross.T @ dev).T, cond_cov
 
 
@@ -304,10 +298,8 @@ def conditional_moments(params: GaussianParams, pattern, values=None) -> Conditi
 
     Marginalised coordinates are dropped first (rows and columns deleted),
     then the conditioned block is absorbed by a Schur complement.  With
-    nothing conditioned the moments equal the inputs' free blocks, in new
-    arrays, and the covariance is symmetrised as whenever something is
-    conditioned: one that :class:`GaussianParams` accepted as symmetric
-    within 1e-8 comes back exactly symmetric.
+    nothing conditioned the moments equal the free blocks of ``params``, in
+    new arrays; the covariance is exactly symmetric either way.
 
     ``values`` supplies the conditioning values; it may have one entry per
     conditioned position, or the full pattern length (entries at conditioned
@@ -678,4 +670,4 @@ def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     count = _check_count("count", count, 0)
     z = np.random.default_rng(_check_seed(seed)).standard_normal((count, p.dim))
-    return p.mean + z @ cholesky(p.cov).T
+    return p.mean + z @ _factor(p.cov).T

@@ -195,7 +195,11 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
     ZeroVarianceError
         If ``scaled`` and the series is constant.
     """
-    arr = _series("intensity", x, 2, matrix=True)
+    return _intensity(_series("intensity", x, 2, matrix=True), centred, scaled, nyquist)[0]
+
+
+def _intensity(arr, centred, scaled, nyquist):
+    """:func:`intensity` of the checked series ``arr``, and its rows standardised."""
     single = arr.ndim == 1
     rows = np.atleast_2d(arr)
     n = rows.shape[1]
@@ -215,7 +219,7 @@ def intensity(x, centred: bool = True, scaled: bool = True, nyquist: bool = True
         nyquist_truncated=truncated,
         dof=dof,
         series_len=n,
-    )
+    ), work
 
 
 def _null_maxima_chunk(values, chunk_index, size, seed):
@@ -276,12 +280,12 @@ def spectrum_test(x, sims: int = 1_000_000, seed=None, progress=True,
     workers = _check_count("workers", workers, 1)
     seed = _check_seed(seed)
 
-    observed = intensity(arr, centred=True, scaled=True, nyquist=True)
+    observed, (values,) = _intensity(arr, centred=True, scaled=True, nyquist=True)
     if not isinstance(seed, int):
         seed = int(np.random.default_rng(seed).integers(1 << 63))
 
-    values = _standardize(arr[None], centred=True, scaled=True)[0][0]
-    statistic = float(_peaks(values[None])[0])
+    # Dividing by sqrt(n) keeps their order: this is _peaks(values[None]).
+    statistic = float(observed.values[1:].max())
 
     # Each chunk writes its slice of one null sample, so the peak is the
     # sample plus the chunks in flight.

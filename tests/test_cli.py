@@ -518,8 +518,8 @@ class TestSpectrumTest:
 
 
 class TestFlagValues:
-    """Count and tolerance flags are checked while parsing: a bad value is a
-    usage error that names the flag."""
+    """Count, tolerance, variance and mean flags are checked while parsing: a
+    bad value is a usage error that names the flag."""
 
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -535,6 +535,10 @@ class TestFlagValues:
             (("cdf",), "--tol", "nan"),
             (("cdf",), "--tol", "inf"),
             (("cdf",), "--tol", "-1e-5"),
+            (("acf", "--n", "2"), "--errorvar", "0"),
+            (("acf", "--n", "2"), "--errorvar", "-1"),
+            (("acf", "--n", "2"), "--errorvar", "nan"),
+            (("acf", "--n", "2"), "--errorvar", "inf"),
         ],
     )
     def test_value_out_of_range(self, capsys, tmp_path, argv, flag, value):
@@ -545,6 +549,12 @@ class TestFlagValues:
         code, out, err = run_cli(capsys, *argv, flag, value)
         assert (code, out) == (1, "")
         assert err == f"usage error: argument {flag}: must be finite and > 0, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_mean_not_finite(self, capsys, value):
+        code, out, err = run_cli(capsys, "acf", "--n", "2", "--mean", value)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --mean: must be finite, got {value}\n"
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -776,3 +776,25 @@ class TestGaussianParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidParamError):
             mvn.GaussianParams(mean=[np.nan], cov=[[1.0]])
+
+    def test_covariance_is_stored_exactly_symmetric(self):
+        # Entries 3-4e-9 from their transposes pass the 1e-8 symmetry check;
+        # every function then reads one symmetric matrix, whichever triangle
+        # it reads, and agrees bit for bit with the symmetrised input.
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(4, 4))
+        cov = a @ a.T + 4.0 * np.eye(4) + np.triu(rng.uniform(3e-9, 4e-9, size=(4, 4)), 1)
+        mean = rng.normal(size=4)
+        asym = mvn.GaussianParams(mean, cov)
+        sym = mvn.GaussianParams(mean, (cov + cov.T) / 2)
+        assert np.array_equal(asym.cov, sym.cov)
+        assert np.array_equal(asym.cov, asym.cov.T)
+        pattern = build_pattern(condvals=[0.3, np.nan, -0.2, np.nan])
+        got, want = (mvn.conditional_moments(p, pattern) for p in (asym, sym))
+        assert np.array_equal(got.cond_mean, want.cond_mean)
+        assert np.array_equal(got.cond_cov, want.cond_cov)
+        for upper in ([0.5, np.inf, -0.1, np.inf], [0.5, 1.0, -0.1, np.inf]):  # 2-D, 3-D
+            assert mvn.mvn_cdf(upper, asym, seed=5) == mvn.mvn_cdf(upper, sym, seed=5)
+        x = rng.normal(size=(3, 4))
+        assert np.array_equal(mvn.log_density(x, asym), mvn.log_density(x, sym))
+        assert np.array_equal(mvn.sample(asym, 5, seed=2), mvn.sample(sym, 5, seed=2))

@@ -230,6 +230,21 @@ class TestSpectrumTest:
         assert result.statistic == spectral._peaks(values[None])[0]
         assert result.statistic == np.max(intensity(x).values[1:])
 
+    def test_statistic_is_the_largest_intensity_of_the_result(self):
+        # Read off result.intensity, the statistic is the float the null
+        # kernel gives on the standardised series, also where small integer
+        # series tie across frequencies.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            x = rng.normal(size=n) if rng.random() < 0.5 else rng.integers(0, 4, n) * 1.0
+            if np.ptp(x) == 0:
+                continue
+            result = spectrum_test(x, sims=1, seed=1, progress=False)
+            values = spectral._standardize(x[None], centred=True, scaled=True)[0]
+            assert result.statistic == result.intensity.values[1:].max()
+            assert result.statistic == spectral._peaks(values)[0]
+
     def test_p_value_on_add_one_grid(self):
         x = np.random.default_rng(24).normal(size=20)
         result = spectrum_test(x, sims=999, seed=3, progress=False)
