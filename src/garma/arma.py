@@ -194,7 +194,8 @@ def _poly_roots(coeffs):
 
 
 def validate_stationary(spec: ArmaSpec) -> np.ndarray:
-    """Check stationarity of ``spec`` and return the AR root moduli.
+    """Check the model ``spec``, the one check of a model that every function
+    taking an :class:`ArmaSpec` runs, and return its AR root moduli.
 
     Returns
     -------
@@ -205,9 +206,16 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
     Raises
     ------
     InvalidParamError
-        If ``spec`` is not an :class:`ArmaSpec`.
+        If ``spec`` is not an :class:`ArmaSpec`, or an AR root lies within
+        rounding of the unit circle, leaving no radius for a tail bound.
     NonStationaryError
         If any root modulus is <= 1.  The offending minimum is attached.
+
+    Warns
+    -----
+    NearUnitRootWarning, SharedRootWarning
+        If an AR root is within 1e-6 of the unit circle, or within 1e-8 of an
+        MA root.
     """
     if not isinstance(spec, ArmaSpec):
         raise InvalidParamError(f"spec must be an ArmaSpec, got {type(spec).__name__}")
@@ -217,6 +225,11 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
         min_mod = float(moduli.min())
         if min_mod <= 1.0:
             raise NonStationaryError(min_mod)
+        if 0.5 * (1.0 + min_mod) <= 1.0:
+            raise InvalidParamError(
+                "an AR root lies within rounding of the unit circle; "
+                "no tail bound exists in double precision"
+            )
         if min_mod < 1.0 + _NEAR_UNIT_MARGIN:
             warnings.warn(
                 f"AR root modulus {min_mod:.12g} is within {_NEAR_UNIT_MARGIN:g} "
@@ -224,32 +237,16 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
                 NearUnitRootWarning,
                 stacklevel=2,
             )
+        ma_roots = _poly_roots(spec.ma) if spec.q else ()
+        if np.abs(roots[:, None] - ma_roots).min(initial=math.inf) < _SHARED_ROOT_TOL:
+            warnings.warn(
+                "AR and MA polynomials share a root (within "
+                f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
+                "computation proceeds",
+                SharedRootWarning,
+                stacklevel=2,
+            )
     return moduli
-
-
-def _warn_shared_roots(spec, moduli):
-    """Warn when the AR and MA polynomials share a root.
-
-    ``moduli`` are the AR root moduli from :func:`validate_stationary`.  Two
-    roots closer than the tolerance have moduli closer than it too, so the AR
-    roots are solved for again only when some MA root's modulus is that close
-    to one of them.
-    """
-    if not moduli.size or not spec.q:
-        return
-    ma_roots = _poly_roots(spec.ma)
-    if not ma_roots.size or np.abs(np.abs(ma_roots)[:, None] - moduli).min() >= _SHARED_ROOT_TOL:
-        return
-    ar_roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
-    dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
-    if dist.min() < _SHARED_ROOT_TOL:
-        warnings.warn(
-            "AR and MA polynomials share a root (within "
-            f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
-            "computation proceeds",
-            SharedRootWarning,
-            stacklevel=3,
-        )
 
 
 def _invertible_ma(spec):
@@ -280,13 +277,10 @@ def _cauchy_bound(spec, moduli):
     the MA polynomial from above and each AR factor ``1 - x/root`` from below.
     ``r`` is the midpoint of 1 and that modulus, uncapped, so far roots give
     an early truncation; the MA sum is taken in logs, so it cannot overflow.
+    Precondition: ``moduli`` is non-empty, and :func:`validate_stationary`
+    has refused any model whose ``r`` rounds to 1.
     """
     r = 0.5 * (1.0 + float(moduli.min()))
-    if r <= 1.0:
-        raise InvalidParamError(
-            "an AR root lies within rounding of the unit circle; "
-            "no tail bound exists in double precision"
-        )
     logs = [0.0] + [math.log(abs(t)) + j * math.log(r) for j, t in enumerate(spec.ma, 1) if t]
     top = max(logs)
     log_num = top + math.log(sum(math.exp(v - top) for v in logs))
@@ -328,7 +322,6 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     """
     tol = _check_tol("tol", tol)
     moduli = validate_stationary(spec)
-    _warn_shared_roots(spec, moduli)
 
     # A pure moving average (or one with all-zero AR coefficients) has no tail.
     trunc, log_tail = spec.q, -math.inf
@@ -440,7 +433,6 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     max_lag = _check_count("max_lag", max_lag, 0)
     rel_tol = _check_tol("rel_tol", rel_tol)
     moduli = validate_stationary(spec)
-    _warn_shared_roots(spec, moduli)
     return AcvSequence(values=_acvf(spec, max_lag, moduli, rel_tol), is_correlation=False)
 
 
@@ -515,7 +507,6 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
     """
     n = _check_count("n", n, 1)
     moduli = validate_stationary(spec)
-    _warn_shared_roots(spec, moduli)
     free_idx, entries = np.arange(n), _covariance(n, spec, moduli)
     if cond is not None:
         _require_free(cond, n)

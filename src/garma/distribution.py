@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from ._statespace import draw, log_density
-from .arma import ArmaSpec, _covariance, _warn_shared_roots, validate_stationary
+from .arma import ArmaSpec, _covariance, validate_stationary
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
@@ -122,12 +122,11 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     conditioned is the density 1 (log-density 0), by convention, with an
     :class:`AllConditionedWarning`.
     """
-    rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
+    rows = as_series_matrix(x)
     pattern = _row_pattern(rows, cond)
     if not pattern.free_mask.any():
         return _degenerate_unit("density", rows.shape[0], log)
-    _warn_shared_roots(spec, moduli)
     kept = ~pattern.marg_mask
     logdens = log_density(_deviation(rows, spec.mean, kept), kept, pattern.cond_mask, spec, moduli)
     return logdens if log else np.exp(logdens)
@@ -160,12 +159,11 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     if isinstance(seed, np.random.SeedSequence):  # its first child, leaving it as it is
         seed = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0),
                                       pool_size=seed.pool_size)
-    rows = as_series_matrix(x)
     moduli = validate_stationary(spec)
+    rows = as_series_matrix(x)
     pattern = _row_pattern(rows, cond)
     if not pattern.free_mask.any():
         return _degenerate_unit("probability", rows.shape[0], log)
-    _warn_shared_roots(spec, moduli)
     m = rows.shape[1]
     free_idx, cond_means, cond_cov = _free_moments(
         np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
@@ -217,7 +215,6 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     if cond.all():
         return out
 
-    _warn_shared_roots(spec, moduli)
     z = np.random.default_rng(seed).standard_normal((n, m - np.count_nonzero(cond)))
     dev = _deviation(pattern.values, spec.mean, cond, "condvals")
     out[:, ~cond] = spec.mean + draw(dev, cond, spec, moduli, z)[:, ~cond]

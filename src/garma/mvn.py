@@ -127,15 +127,20 @@ def _solve_lower(factor, rhs):
 
 def _symmetric(cov):
     """``cov`` as a new float matrix made exactly symmetric, ``(c + c.T) / 2``,
-    once it is square, finite and symmetric within 1e-8 of its largest entry."""
+    once it is square, finite and symmetric within 1e-8 of its largest entry;
+    a sum ``c + c.T`` that overflows is an :class:`InvalidParamError`."""
     c = np.asarray(cov, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatchError(f"covariance must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise InvalidParamError("covariance entries must all be finite")
-    if np.abs(c - c.T).max(initial=0.0) > 1e-8 * np.abs(c).max(initial=1.0):
-        raise InvalidParamError("covariance must be symmetric")
-    return 0.5 * (c + c.T)
+    with np.errstate(over="ignore"):
+        if np.abs(c - c.T).max(initial=0.0) > 1e-8 * np.abs(c).max(initial=1.0):
+            raise InvalidParamError("covariance must be symmetric")
+        sym = 0.5 * (c + c.T)
+    if not np.all(np.isfinite(sym)):
+        raise InvalidParamError("covariance entries overflow when symmetrised")
+    return sym
 
 
 @dataclass(frozen=True)

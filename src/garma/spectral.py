@@ -151,9 +151,13 @@ def _peaks(rows):
 
 def _standardize(rows, centred, scaled):
     """Centre/scale series rows; returns (rows, dof). Raises ZeroVarianceError
-    if scaling is requested and a row has no spread."""
+    if scaling is requested and a row has no spread.  Scaling first brings
+    each row's largest magnitude into [0.5, 1) by an exact power of two, so
+    its squares cannot overflow or underflow: a row times 2**k gives the same bits."""
     n = rows.shape[1]
     out = rows.astype(complex if np.iscomplexobj(rows) else float)
+    if scaled:
+        out = out * np.ldexp(1.0, -np.frexp(np.abs(out).max(axis=1))[1])[:, None]
     if centred:
         out = out - out.mean(axis=1, keepdims=True)
         dof = n - 1

@@ -1278,3 +1278,40 @@ class TestDenseAllocationLimit:
             assert float(seconds) < 10.0
             assert f"cannot allocate {nbytes} bytes" in message
             assert "dgarma and rgarma" in message
+
+
+class TestOneModelCheck:
+    """validate_stationary refuses or warns about a model on every path,
+    degenerate and all-pinned queries included."""
+
+    EDGE = ArmaSpec(ar=(1 - 1e-16,))  # a root one ulp outside the unit circle
+    SHARED = ArmaSpec(ar=(0.5,), ma=(-0.5,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            validate_stationary,
+            lambda s: dgarma([0.1, 0.2], s, cond=[True, True]),
+            lambda s: pgarma([0.1, 0.2], s, cond=[True, True]),
+            lambda s: rgarma(2, 2, s, condvals=[0.1, 0.2], seed=1),
+        ],
+        ids=["validate_stationary", "dgarma", "pgarma", "rgarma"],
+    )
+    def test_root_within_rounding_is_refused_on_every_path(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamError, match="within rounding of the unit circle"):
+                call(self.EDGE)
+
+    def test_validate_stationary_warns_shared_root(self):
+        with pytest.warns(SharedRootWarning):
+            validate_stationary(self.SHARED)
+
+    def test_all_conditioned_density_warns_shared_root(self):
+        with pytest.warns(SharedRootWarning), pytest.warns(AllConditionedWarning):
+            assert dgarma([0.1, 0.2], self.SHARED, cond=[True, True]) == 1.0
+
+    def test_all_pinned_draw_warns_shared_root(self):
+        with pytest.warns(SharedRootWarning):
+            out = rgarma(2, 2, self.SHARED, condvals=[0.1, 0.2], seed=1)
+        assert np.array_equal(out, [[0.1, 0.2], [0.1, 0.2]])

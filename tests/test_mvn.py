@@ -798,3 +798,23 @@ class TestGaussianParams:
         x = rng.normal(size=(3, 4))
         assert np.array_equal(mvn.log_density(x, asym), mvn.log_density(x, sym))
         assert np.array_equal(mvn.sample(asym, 5, seed=2), mvn.sample(sym, 5, seed=2))
+
+
+@pytest.mark.parametrize(
+    "cov, match",
+    [
+        ([[1.7e308, 0.0], [0.0, 1.0]], "overflow"),  # c + c.T overflows
+        ([[1.0, 1.7e308], [-1.7e308, 1.0]], "symmetric"),  # c - c.T overflows
+    ],
+    ids=["sum", "difference"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [lambda cov: mvn.GaussianParams(np.zeros(2), cov), mvn.cholesky],
+    ids=["GaussianParams", "cholesky"],
+)
+def test_covariance_overflowing_when_symmetrised_fails_typed(call, cov, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParamError, match=match):
+            call(cov)

@@ -370,3 +370,18 @@ class TestSpectrumTest:
             for s in rng.integers(0, 2**32, size=40)
         ]
         assert 0.3 <= float(np.mean(ps)) <= 0.7
+
+
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+def test_standardisation_is_scale_invariant(k):
+    # A planted cosine on three decimals: every nonzero value is at least
+    # 1e-3, so a power-of-two multiple by 2**-1000 stays a normal float and
+    # is exact; standardising it must give the same bits as the original.
+    rng = np.random.default_rng(7)
+    x = np.round(np.cos(2 * np.pi * 5 * np.arange(64) / 64) + rng.normal(size=64), 3)
+    scaled = x * 2.0**k
+    assert np.array_equal(scaled / 2.0**k, x)
+    assert np.array_equal(intensity(scaled).values, intensity(x).values)
+    got = spectrum_test(scaled, sims=99, seed=3, progress=False)
+    want = spectrum_test(x, sims=99, seed=3, progress=False)
+    assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
