@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arma import _ar_recursion, _covariance, _invertible_ma
+from .arma import _acvf, _ar_recursion, _invertible_ma
 from .errors import InvalidParamError, NotPositiveDefiniteError
 from .mvn import _kernels, _normal_log_density
 
@@ -49,10 +49,11 @@ def log_density(dev, kept, cond, spec, moduli):
     return logdens - given
 
 
-def draw(dev, cond, spec, moduli, z):
+def draw(dev, cond, spec, moduli, ma_roots, z):
     """:func:`_conditional_draw` on the invertible moving average with ``spec``'s
-    autocovariances, from deviations :func:`garma.errors._deviation` checked at ``cond``."""
-    return _conditional_draw(dev, cond, _state_space(_invertible_ma(spec), moduli), z)
+    autocovariances, from deviations :func:`garma.errors._deviation` checked at
+    ``cond``; ``ma_roots`` are ``spec``'s MA roots, or ``None`` if not yet solved."""
+    return _conditional_draw(dev, cond, _state_space(_invertible_ma(spec, ma_roots), moduli), z)
 
 
 def _state_space(spec, moduli):
@@ -79,7 +80,7 @@ def _state_space(spec, moduli):
         on_y[i, 1:r - i + 1] = phi[i:]
         on_e[i, :r - i] = theta[i:]
     lag = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
-    cov_y = _covariance(r, spec, moduli)
+    cov_y = _acvf(spec, r - 1, moduli)[lag]
     cov_ye = var * np.triu(np.array(_ar_recursion(spec.ar, theta.tolist(), 1))[lag])
     cross = on_y @ cov_ye @ on_e.T
     p0 = on_y @ cov_y @ on_y.T + cross + cross.T + var * (on_e @ on_e.T)

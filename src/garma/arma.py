@@ -18,7 +18,6 @@ zero.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ from .errors import (
     _check_tol,
     _dense_memory_error,
     _set_fields,
+    _table,
+    _warn,
 )
 from .mvn import _cov_to_corr, _free_moments
 
@@ -154,10 +155,7 @@ class AcvSequence:
         return [f"Lag[{k}]" for k in range(len(self.values))]
 
     def __str__(self):
-        width = max(len(lab) for lab in self.labels) + 2
-        head = "".join(lab.rjust(width) for lab in self.labels)
-        body = "".join(f"{v:{width}.7f}" for v in self.values)
-        return head + "\n" + body
+        return _table(self.labels, self.values)
 
 
 @dataclass(frozen=True)
@@ -217,10 +215,15 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
         If an AR root is within 1e-6 of the unit circle, or within 1e-8 of an
         MA root.
     """
+    return _check_model(spec)[0]
+
+
+def _check_model(spec):
+    """:func:`validate_stationary`, also returning the MA roots it solved (p, q > 0) or ``None``."""
     if not isinstance(spec, ArmaSpec):
         raise InvalidParamError(f"spec must be an ArmaSpec, got {type(spec).__name__}")
     roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
-    moduli = np.abs(roots)
+    moduli, ma_roots = np.abs(roots), None
     if moduli.size:
         min_mod = float(moduli.min())
         if min_mod <= 1.0:
@@ -231,33 +234,30 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
                 "no tail bound exists in double precision"
             )
         if min_mod < 1.0 + _NEAR_UNIT_MARGIN:
-            warnings.warn(
+            _warn(NearUnitRootWarning(
                 f"AR root modulus {min_mod:.12g} is within {_NEAR_UNIT_MARGIN:g} "
-                "of the unit circle; results may be ill-conditioned",
-                NearUnitRootWarning,
-                stacklevel=2,
-            )
-        ma_roots = _poly_roots(spec.ma) if spec.q else ()
-        if np.abs(roots[:, None] - ma_roots).min(initial=math.inf) < _SHARED_ROOT_TOL:
-            warnings.warn(
-                "AR and MA polynomials share a root (within "
-                f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
-                "computation proceeds",
-                SharedRootWarning,
-                stacklevel=2,
-            )
-    return moduli
+                "of the unit circle; results may be ill-conditioned"))
+        if spec.q:
+            ma_roots = _poly_roots(spec.ma)
+            if np.abs(roots[:, None] - ma_roots).min(initial=math.inf) < _SHARED_ROOT_TOL:
+                _warn(SharedRootWarning(
+                    "AR and MA polynomials share a root (within "
+                    f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
+                    "computation proceeds"))
+    return moduli, ma_roots
 
 
-def _invertible_ma(spec):
+def _invertible_ma(spec, roots=None):
     """``spec`` with every MA root inside the unit circle moved to its
     reciprocal, and ``error_var`` scaled so that the spectral density, and
-    with it the law of the series, stays the same.
+    with it the law of the series, stays the same.  ``roots`` are the MA
+    roots, solved here if not given.
 
     The inside roots are multiplied out into one factor, which is reversed;
     its coefficients stay accurate even when those roots cluster.
     """
-    roots = _poly_roots(spec.ma)
+    if roots is None:
+        roots = _poly_roots(spec.ma)
     inside = roots[np.abs(roots) < 1.0]
     if not inside.size:
         return spec

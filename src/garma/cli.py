@@ -106,13 +106,12 @@ def _parse_condvals(text, length, length_flag):
     return values
 
 
-def _parse_cond(text, m):
+def _parse_cond(text, rows):
     """--cond entries are 1-based indices, either bare (condition on the value
-    already in each data row) or index:value (pin that value into every row).
-
-    Returns (flags, overrides) where overrides maps column -> value."""
+    already in each data row) or index:value (pin that value into every row
+    of ``rows``, as it is parsed).  Returns the flags."""
+    m = rows.shape[1]
     flags = np.zeros(m, dtype=bool)
-    overrides = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -132,13 +131,13 @@ def _parse_cond(text, m):
             value = _parse_float_token(value_text, "--cond")
             if np.isnan(value):
                 raise UsageError("--cond: conditioning values must be numbers, not NA")
-            overrides[idx - 1] = value
-    return flags, overrides
+            rows[:, idx - 1] = value
+    return flags
 
 
 def _spec_from_args(args) -> ArmaSpec:
-    ar = _parse_list(args.ar, "--ar") if args.ar else ()
-    ma = _parse_list(args.ma, "--ma") if args.ma else ()
+    ar = _parse_list(args.ar, "--ar")
+    ma = _parse_list(args.ma, "--ma")
     if any(np.isnan(v) for v in ar) or any(np.isnan(v) for v in ma):
         raise UsageError("--ar/--ma coefficients must be numbers, not NA")
     return ArmaSpec(ar=ar, ma=ma, mean=args.mean, error_var=args.errorvar)
@@ -279,7 +278,7 @@ def _cmd_acf(args):
         "csv": acv.values[None, :],
         "json": {
             "labels": acv.labels,
-            "values": list(acv.values),
+            "values": acv.values.tolist(),
             "correlation": bool(acv.is_correlation),
         },
     }
@@ -295,7 +294,7 @@ def _cmd_var(args):
         "csv": vm.entries,
         "json": {
             "index_labels": list(vm.index_labels),
-            "entries": [list(row) for row in vm.entries],
+            "entries": vm.entries.tolist(),
             "correlation": bool(args.corr),
         },
     }
@@ -304,12 +303,7 @@ def _cmd_var(args):
 def _input_rows(args):
     """The --input rows with any --cond values pinned, and the --cond flags."""
     rows = _read_csv(args.input, "--input")
-    if not args.cond:
-        return rows, None
-    flags, overrides = _parse_cond(args.cond, rows.shape[1])
-    for col, value in overrides.items():
-        rows[:, col] = value
-    return rows, flags
+    return rows, _parse_cond(args.cond, rows) if args.cond else None
 
 
 def _per_row(values, log, **fields):
@@ -318,7 +312,7 @@ def _per_row(values, log, **fields):
         "csv": values[None, :],
         "json": {
             "labels": [f"Series[{i + 1}]" for i in range(len(values))],
-            "values": list(values),
+            "values": values.tolist(),
             "log": bool(log),
             **fields,
         },
@@ -350,7 +344,7 @@ def _cmd_sample(args):
     draws = rgarma(args.n, args.m, spec, condvals=condvals, seed=seed)
     return {
         "csv": draws,
-        "json": {"rows": [list(row) for row in draws], "seed": seed},
+        "json": {"rows": draws.tolist(), "seed": seed},
         "plot": draws,
     }
 
@@ -365,8 +359,8 @@ def _cmd_intensity(args):
         "csv": np.atleast_2d(iv.values),
         "json": {
             "labels": iv.labels,
-            "frequencies": list(iv.frequencies),
-            "values": [list(row) for row in np.atleast_2d(iv.values)],
+            "frequencies": iv.frequencies.tolist(),
+            "values": np.atleast_2d(iv.values).tolist(),
             "centred": iv.centred,
             "scaled": iv.scaled,
             "nyquist_truncated": iv.nyquist_truncated,
@@ -400,18 +394,12 @@ def _cmd_spectrum_test(args):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if np.isnan(v) or np.isinf(v) else v
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
+    """A payload of plain values for strict JSON: each non-finite float becomes ``None``."""
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 @contextlib.contextmanager

@@ -15,12 +15,10 @@ quasi-Monte Carlo CDF needs the conditional covariance itself.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ._statespace import draw, log_density
-from .arma import ArmaSpec, _covariance, validate_stationary
+from .arma import ArmaSpec, _check_model, _covariance, validate_stationary
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
@@ -30,6 +28,7 @@ from .errors import (
     _check_seed,
     _check_tol,
     _deviation,
+    _warn,
 )
 from .mvn import _DEFAULT_MAX_POINTS, DEFAULT_CDF_SEED, _free_moments, _rectangle_cdf
 
@@ -52,12 +51,9 @@ def as_series_matrix(x) -> np.ndarray:
 
 
 def _degenerate_unit(kind, count, log):
-    warnings.warn(
+    _warn(AllConditionedWarning(
         f"every non-missing position is a conditioning value; {kind} set to "
-        "one by convention",
-        AllConditionedWarning,
-        stacklevel=3,
-    )
+        "one by convention"))
     return np.zeros(count) if log else np.ones(count)
 
 
@@ -203,7 +199,7 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     """
     n, m = _check_count("n", n, 1), _check_count("m", m, 1)
     seed = _check_seed(seed)
-    moduli = validate_stationary(spec)
+    moduli, ma_roots = _check_model(spec)
     pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)
     if len(pattern) != m:
         raise DimensionMismatchError(
@@ -217,5 +213,5 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
 
     z = np.random.default_rng(seed).standard_normal((n, m - np.count_nonzero(cond)))
     dev = _deviation(pattern.values, spec.mean, cond, "condvals")
-    out[:, ~cond] = spec.mean + draw(dev, cond, spec, moduli, z)[:, ~cond]
+    out[:, ~cond] = spec.mean + draw(dev, cond, spec, moduli, ma_roots, z)[:, ~cond]
     return out

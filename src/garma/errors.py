@@ -1,7 +1,9 @@
-"""Exception and warning types, input checks and the record field helper of the package."""
+"""Exception and warning types, input checks, and the warning and record helpers of the package."""
 
 import math
 import numbers
+import sys
+import warnings
 
 import numpy as np
 
@@ -131,6 +133,22 @@ def _set_fields(record, **fields):
             value = value.view()
             value.setflags(write=False)
         object.__setattr__(record, name, value)
+
+
+def _table(labels, rows, min_width=0):
+    """``labels`` over each row of ``rows`` (one row or a matrix) to 7 decimals,
+    right-aligned in columns two wider than the longest label, at least ``min_width``."""
+    width = max(max(map(len, labels)) + 2, min_width)
+    lines = [labels] + [[f"{v:.7f}" for v in row] for row in np.atleast_2d(rows)]
+    return "\n".join("".join(cell.rjust(width) for cell in line) for line in lines)
+
+
+def _warn(warning):
+    """Issue ``warning`` at the caller's line: the first stack frame outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(warning, stacklevel=level)
 
 
 def _check_seed(seed):

@@ -16,7 +16,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -36,6 +35,7 @@ from .errors import (
     _dense_memory_error,
     _deviation,
     _set_fields,
+    _warn,
 )
 
 __all__ = [
@@ -220,7 +220,7 @@ def _factor(c):
             factor = np.linalg.cholesky(c + (eps * mean_diag) * np.eye(n))
         except np.linalg.LinAlgError:
             continue
-        warnings.warn(NumericalAdjustmentWarning(eps), stacklevel=3)
+        _warn(NumericalAdjustmentWarning(eps))
         return factor
     raise NotPositiveDefiniteError(
         "covariance is not positive definite, even after diagonal inflation "
@@ -601,7 +601,8 @@ def _rectangle_cdf(upper, mean, cov, tol, seed, max_points):
     the finite matrix ``upper``; ``mean`` has one row per row, or one for all.
 
     One dimension is the normal CDF, two one :func:`_bvn_cdf` call for all
-    rows, three or more quasi-Monte Carlo on point sets shared by all rows.
+    rows, three or more quasi-Monte Carlo on point sets shared by all rows,
+    where running out of memory is an :class:`InvalidParamError`.
     """
     var = np.diag(cov)
     if not (var > 0.0).all():
@@ -616,12 +617,16 @@ def _rectangle_cdf(upper, mean, cov, tol, seed, max_points):
     if sd.size == 1:
         return [CdfResult(value=v, error_estimate=1e-16, method="closed_form_1d")
                 for v in _kernels().ndtr(z[:, 0])]
-    corr = _cov_to_corr(cov)
     if sd.size == 2:
-        rho = min(max(float(corr[0, 1]), -1.0), 1.0)
+        rho = min(max(float(_cov_to_corr(cov)[0, 1]), -1.0), 1.0)
         return [CdfResult(value=v, error_estimate=1e-14, method="quadrature_2d")
                 for v in _bvn_cdf(z, rho)]
-    return _qmc_cdf(corr, z, tol, seed, max_points)
+    try:
+        return _qmc_cdf(_cov_to_corr(cov), z, tol, seed, max_points)
+    except MemoryError:
+        raise InvalidParamError(
+            f"not enough memory for the quasi-Monte Carlo CDF in {sd.size} dimensions"
+        ) from None
 
 
 def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_SEED,

@@ -22,6 +22,7 @@ from .errors import (
     _check_count,
     _check_seed,
     _set_fields,
+    _table,
 )
 
 __all__ = ["IntensityVector", "SpectrumTestResult", "dft", "intensity", "spectrum_test"]
@@ -72,11 +73,7 @@ class IntensityVector:
         return [f"Freq[{k}/{n}]" for k in range(self.frequencies.size)]
 
     def __str__(self):
-        rows = np.atleast_2d(self.values)
-        width = max(max(len(lab) for lab in self.labels) + 2, 12)
-        head = "".join(lab.rjust(width) for lab in self.labels)
-        body = "\n".join("".join(f"{v:{width}.7f}" for v in row) for row in rows)
-        return head + "\n" + body
+        return _table(self.labels, self.values, 12)
 
 
 @dataclass(frozen=True)

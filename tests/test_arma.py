@@ -438,6 +438,14 @@ class TestAcfVector:
         text = str(acf_vector(3, GARMA22, corr=True))
         assert "Lag[0]" in text and "1.0000000" in text
 
+    def test_str_is_pinned(self):
+        # Columns two wider than the longest label, so a value as wide as
+        # its column runs into the next one.
+        assert str(acf_vector(6, GARMA22, corr=True)) == (
+            "  Lag[0]  Lag[1]  Lag[2]  Lag[3]  Lag[4]  Lag[5]\n"
+            "1.00000000.83519210.52763320.25506820.09852790.0278087"
+        )
+
 
 class TestVarianceMatrix:
     def test_ar1_two_by_two(self):

@@ -1011,6 +1011,24 @@ class TestRootsFoundOnce:
         with pytest.warns(SharedRootWarning):
             call(self.SHARED)
 
+    def test_rgarma_solves_the_ma_roots_once(self, monkeypatch):
+        # The model check solves them for its shared-root test; the sampler's
+        # invertible moving average reuses them.
+        from garma import arma
+
+        spec = ArmaSpec(ar=(0.5, -0.3), ma=(0.4, 0.2))
+        before = rgarma(2, 10, spec, seed=1)
+        solved = []
+        original = arma._poly_roots
+
+        def counting(coeffs):
+            solved.append(tuple(np.asarray(coeffs, dtype=float)))
+            return original(coeffs)
+
+        monkeypatch.setattr(arma, "_poly_roots", counting)
+        assert np.array_equal(rgarma(2, 10, spec, seed=1), before)
+        assert solved.count((0.4, 0.2)) == 1
+
 
 class TestNoRows:
     """A matrix with no series rows is a typed shape error, not an IndexError."""

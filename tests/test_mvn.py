@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -818,3 +819,55 @@ def test_covariance_overflowing_when_symmetrised_fails_typed(call, cov, match):
         warnings.simplefilter("error")
         with pytest.raises(InvalidParamError, match=match):
             call(cov)
+
+
+class TestQmcAllocationLimit:
+    """Running out of memory in the quasi-Monte Carlo CDF is an
+    InvalidParamError naming the dimension, not a bare MemoryError."""
+
+    def test_typed_error_under_a_lowered_address_space_limit(self):
+        pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("RLIMIT_AS is enforced on Linux only")
+        # After a small quasi-Monte Carlo CDF has loaded what that path needs,
+        # the child lowers its own limit to what it uses plus 128 MiB: the
+        # 1200 x 1200 blocks before the CDF fit, and its first round of
+        # points (94 MiB as floats, beside their 47 MiB of bits) does not.
+        code = textwrap.dedent("""
+            import os, resource, time
+            import numpy as np
+            from garma import ArmaSpec, InvalidParamError, mvn, pgarma
+
+            d = 1200
+            ar1 = mvn.GaussianParams(np.zeros(d), 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d))))
+            mvn.mvn_cdf(np.zeros(3), mvn.GaussianParams(np.zeros(3), np.eye(3)))
+            calls = [
+                lambda: mvn.mvn_cdf(np.zeros(d), ar1, tol=1e-3),
+                lambda: pgarma(np.zeros(d), ArmaSpec(ar=(0.5,)), tol=1e-3),
+            ]
+            used = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = used + 2**27
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+            for call in calls:
+                began = time.perf_counter()
+                try:
+                    call()
+                    print("returned")
+                except InvalidParamError as exc:
+                    print(f"InvalidParamError {time.perf_counter() - began:.3f} {exc}")
+        """)
+        # One BLAS thread, so no thread arenas take part of the headroom.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            kind, seconds, message = line.split(" ", 2)
+            assert kind == "InvalidParamError"
+            assert float(seconds) < 10.0
+            assert message == "not enough memory for the quasi-Monte Carlo CDF in 1200 dimensions"

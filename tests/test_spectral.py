@@ -158,6 +158,16 @@ class TestIntensity:
         assert "Freq[0/8]" in text
         assert "Freq[4/8]" in text
 
+    def test_str_is_pinned(self):
+        # Columns of at least 12 characters, one line per series row.
+        series = [1.0, 3.0, -2.0, 0.5, 4.0, -1.0]
+        head = "   Freq[0/6]   Freq[1/6]   Freq[2/6]   Freq[3/6]\n"
+        first = "   0.0000000   0.3214633   1.5468312   0.0891579"
+        assert str(intensity(series)) == head + first
+        assert str(intensity([series, [0.0, 1.0, 0.0, -1.0, 2.0, 2.0]])) == (
+            head + first + "\n   0.0000000   1.0112998   1.2154311   0.0000000"
+        )
+
     def test_values_read_only(self):
         iv = intensity(np.random.default_rng(2).normal(size=8))
         with pytest.raises(ValueError):
