@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._memo import memoised
 from .arma import _acvf, _ar_recursion, _invertible_ma
 from .errors import InvalidParamError, NotPositiveDefiniteError
 from .mvn import _kernels, _normal_log_density
@@ -31,6 +32,9 @@ _STEADY_TOL = 1e-15
 
 # Entries of a power of the transition matrix below this are dropped.
 _NEGLIGIBLE = 2.0**-60
+
+# Bytes the memo of state-space forms holds at most; a form takes 3 r**2 floats.
+_STATE_SPACE_MEMO_BYTES = 1 << 20
 
 
 def log_density(dev, kept, cond, spec, moduli):
@@ -56,11 +60,14 @@ def draw(dev, cond, spec, moduli, ma_roots, z):
     return _conditional_draw(dev, cond, _state_space(_invertible_ma(spec, ma_roots), moduli), z)
 
 
+@memoised(_STATE_SPACE_MEMO_BYTES, lambda spec, moduli: (
+    spec.p, np.array((*spec.ar, *spec.ma, spec.error_var)).tobytes(), moduli.tobytes()))
 def _state_space(spec, moduli):
     """Harvey's state-space form of ``spec``, with state size ``r = max(p,
     q + 1)``: the transition matrix ``T`` (AR coefficients ``phi`` in its
     first column, ones on its superdiagonal), the innovation covariance ``Q``
-    and the stationary state covariance ``P0``.
+    and the stationary state covariance ``P0``, read-only and memoised on the
+    bits of the coefficients, the innovation variance and ``moduli``.
 
     The state is ``a[0] = y[t]`` and, for ``i >= 1``, ``a[i] = sum_{s>=1}
     phi[i+s-1] * y[t-s] + sum_{s>=0} theta[i+s] * e[t-s]`` (``theta[0] =

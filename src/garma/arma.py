@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._memo import memoised
 from .conditioning import _require_free
 from .errors import (
     InvalidParamError,
@@ -63,6 +64,9 @@ _MAX_PSI_TERMS = 1 << 24
 # Refinement steps allowed for the autocovariance system before the model is
 # declared too close to the unit circle for double precision.
 _MAX_REFINE_STEPS = 16
+# Bytes the memos of polynomial roots and of autocovariance heads hold at most.
+_ROOTS_MEMO_BYTES = 1 << 18
+_HEAD_MEMO_BYTES = 1 << 18
 
 
 def _coeff_tuple(values, name):
@@ -180,9 +184,11 @@ class VarianceMatrix:
         return [f"Time[{i}]" for i in self.index_labels]
 
 
+@memoised(_ROOTS_MEMO_BYTES, lambda coeffs: (np.asarray(coeffs, dtype=float).tobytes(),))
 def _poly_roots(coeffs):
     """Roots of ``1 + coeffs[0]*x + ... + coeffs[k-1]*x**k`` via the companion
-    matrix; the AR polynomial is ``_poly_roots(-ar)``.
+    matrix, read-only and memoised on the coefficients' bits; the AR
+    polynomial is ``_poly_roots(-ar)``.
 
     Trailing zero coefficients are trimmed first, so they reduce the degree
     instead of producing spurious infinite roots; a constant has no roots."""
@@ -353,9 +359,12 @@ def _dyadic_sum(terms):
     return sum(n << (top - e) for n, e in terms) / (1 << top)
 
 
+@memoised(_HEAD_MEMO_BYTES,
+          lambda phi, rhs: (np.asarray(phi, dtype=float).tobytes(), rhs.tobytes()))
 def _solve_head(phi, rhs):
     """Solve ``gamma(k) - sum_i phi[i-1] * gamma(|k-i|) = rhs[k]``, ``k = 0 ..
-    p``, by iterative refinement with exactly computed residuals.
+    p``, by iterative refinement with exactly computed residuals; the
+    solution is read-only and memoised on the bits of ``phi`` and ``rhs``.
 
     Rounding in the factorisation is amplified by the condition number of the
     system, which grows as AR roots approach the unit circle (about ``1/d**3``

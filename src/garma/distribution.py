@@ -142,8 +142,10 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     ``SeedSequence`` is not advanced), so every row's value equals
     ``mvn_cdf(row, ..., seed=<that child>)`` and identical rows get identical
     values.  A ``Generator`` or ``BitGenerator`` seed is consumed instead, so
-    a second call with the same object gives other estimates.  Each row's
-    estimate is still unbiased with its own error estimate within ``tol``.
+    a second call with the same object gives other estimates.  The scrambles
+    for a seed are drawn once per process and reused by later calls.  Each
+    row's estimate is still unbiased with its own error estimate within
+    ``tol``.
     ``tol`` must be finite and positive even when no row needs it.  An
     all-missing row raises :class:`AllMarginalisedError`; the probability is 1
     by convention only when every kept position is conditioned.

@@ -137,9 +137,9 @@ def _set_fields(record, **fields):
 
 def _table(labels, rows, min_width=0):
     """``labels`` over each row of ``rows`` (one row or a matrix) to 7 decimals,
-    right-aligned in columns two wider than the longest label, at least ``min_width``."""
-    width = max(max(map(len, labels)) + 2, min_width)
+    right-aligned in columns two wider than the longest label or value, at least ``min_width``."""
     lines = [labels] + [[f"{v:.7f}" for v in row] for row in np.atleast_2d(rows)]
+    width = max(max(len(cell) for line in lines for cell in line) + 2, min_width)
     return "\n".join("".join(cell.rjust(width) for cell in line) for line in lines)
 
 

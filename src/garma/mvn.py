@@ -16,11 +16,13 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import memoised
 from .conditioning import CONDITIONED, FREE, _require_free
 from .errors import (
     CondOnMissingError,
@@ -72,6 +74,12 @@ _QMC_BATCHES = 10
 # Points one quasi-Monte Carlo pass evaluates at most: all of a first round's
 # engines, and a bound on the arrays of every later round.
 _QMC_PASS_POINTS = 2**14
+# Bytes the memo of scrambled engines holds at most; one round's engines take
+# about 1.2 d KB in d dimensions.
+_SCRAMBLE_MEMO_BYTES = 1 << 22
+# Bytes the memo of unscrambled direction bits holds at most; d dimensions
+# take 900 d bytes, so even the most the table has, 21,201, fit.
+_SOBOL_BITS_MEMO_BYTES = 1 << 25
 
 
 _Kernels = namedtuple("_Kernels", "dtbtrs dtrtrs ndtr")
@@ -459,11 +467,12 @@ def _sobol_table():
         return table["poly"], table["vinit"]
 
 
-@functools.lru_cache(maxsize=16)
+@memoised(_SOBOL_BITS_MEMO_BYTES, lambda d: (d,))
 def _sobol_bits(d):
     """Bits of the unscrambled direction numbers of the first ``d``
     dimensions as bools, ``[k, j, c]`` the ``c``-th most significant of the
-    30 bits of direction ``j`` in dimension ``k``.
+    30 bits of direction ``j`` in dimension ``k``; read-only and memoised on
+    ``d``.
 
     Bratley and Fox's (1988) recursion runs for all dimensions at once; the
     first dimension is the van der Corput sequence.
@@ -487,9 +496,7 @@ def _sobol_bits(d):
         v[:, j] = np.where(late, new, v[:, j])
     v[0] = 1
     msb_first = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
-    bits = (((v << msb_first)[:, :, None] >> msb_first) & 1).astype(bool)
-    bits.setflags(write=False)  # cached, so shared by every caller
-    return bits
+    return (((v << msb_first)[:, :, None] >> msb_first) & 1).astype(bool)
 
 
 def _sobol_scramble(gen, d):
@@ -506,6 +513,23 @@ def _sobol_scramble(gen, d):
     columns = _SOBOL_POWERS[::-1] @ (np.tril(draws, -1) | _SOBOL_EYE)
     scrambled = np.bitwise_xor.reduce(bits * columns[:, None, :], axis=2)
     return scrambled, shift
+
+
+def _children_key(bit_type, children, d):
+    """The key of :func:`_scrambles`, which fixes every child."""
+    first = children[0]
+    return bit_type, d, len(children), first.pool_size, first.spawn_key, pickle.dumps(first.entropy)
+
+
+@memoised(_SCRAMBLE_MEMO_BYTES, _children_key)
+def _scrambles(bit_type, children, d):
+    """Directions ``(k, d, 30)`` and shifts ``(k, d)`` of the ``k`` engines
+    :func:`_sobol_scramble` draws from ``bit_type`` generators seeded with
+    ``children``, consecutive children of one ``SeedSequence``.  They are
+    read-only and memoised on the first child's entropy, spawn key and pool
+    size, which with ``k`` fix every child, and on ``bit_type`` and ``d``."""
+    return tuple(map(np.stack, zip(*(
+        _sobol_scramble(np.random.Generator(bit_type(child)), d) for child in children))))
 
 
 def _sobol_points(directions, shift, m):
@@ -554,15 +578,18 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
 
     Each refinement round scrambles ``_QMC_BATCHES`` Sobol point sets, each
     from its own child of the ``SeedSequence`` of one generator seeded with
-    ``seed``, and evaluates every row not yet within ``tol`` on them.  Each
-    scramble alone gives an unbiased estimate, so every row keeps its own
-    error estimate (Owen 1997).  A round's engines are stacked into passes
-    of at most ``_QMC_PASS_POINTS`` points, or one engine where it has more,
-    and each pass is one array evaluation per row.  The point cap is reached
-    by all rows in the same round; the first row still above ``tol`` then
-    raises.  The points do not depend on the installed scipy: they equal
-    those scipy 1.17's ``qmc.Sobol`` draws when it spawns one child of the
-    same generator per engine.
+    ``seed``, and evaluates every row not yet within ``tol`` on them.  The
+    children are spawned in every call, so a given generator advances as it
+    would without the memo of :func:`_scrambles`, which draws the scrambles
+    of a seed once per process.  Each scramble alone gives an unbiased
+    estimate, so every row keeps its own error estimate (Owen 1997).  A
+    round's engines are stacked into passes of at most ``_QMC_PASS_POINTS``
+    points, or one engine where it has more, and each pass is one array
+    evaluation per row.  The point cap is reached by all rows in the same
+    round; the first row still above ``tol`` then raises.  The points do not
+    depend on the installed scipy: they equal those scipy 1.17's
+    ``qmc.Sobol`` draws when it spawns one child of the same generator per
+    engine.
     """
     d = corr.shape[0] - 1
     factors = [_ordered_cholesky(corr, row) for row in z]
@@ -573,9 +600,8 @@ def _qmc_cdf(corr, z, tol, seed, max_points):
     while len(results) < len(factors):
         todo = [row for row in range(len(factors)) if row not in results]
         # numpy 1.23 has no public SeedSequence attribute on a bit generator.
-        directions, shifts = map(np.stack, zip(*(
-            _sobol_scramble(np.random.Generator(type(bit_gen)(child)), d)
-            for child in bit_gen._seed_seq.spawn(_QMC_BATCHES))))
+        children = bit_gen._seed_seq.spawn(_QMC_BATCHES)
+        directions, shifts = _scrambles(type(bit_gen), children, d)
         estimates = np.empty((len(todo), _QMC_BATCHES))
         width = max(1, _QMC_PASS_POINTS >> exponent)
         for start in range(0, _QMC_BATCHES, width):
@@ -646,7 +672,11 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     ``2**14`` points or one scramble's points where those are more
     (``1024 * 4**(j - 1)`` in round ``j``).  The default seed is a fixed
     documented constant so repeated calls agree; pass ``seed=None`` for a
-    fresh nondeterministic stream.
+    fresh nondeterministic stream.  The scrambles for a seed are drawn once
+    per process and reused by every later call with that seed and dimension.
+    Only a ``+inf`` limit copies the covariance, without its rows and
+    columns; a copy that does not fit in memory raises
+    :class:`InvalidParamError`.
 
     Raises
     ------
@@ -671,8 +701,15 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     keep = np.nonzero(np.isfinite(u))[0]
     if keep.size == 0:
         return CdfResult(value=1.0, error_estimate=0.0, method="closed_form_1d")
-    return _rectangle_cdf(u[None, keep], p.mean[keep], p.cov[np.ix_(keep, keep)],
-                          tol, seed, max_points)[0]
+    mean, cov = p.mean, p.cov
+    if keep.size < u.size:
+        try:
+            mean, cov = mean[keep], cov[np.ix_(keep, keep)]
+        except MemoryError:
+            n = keep.size
+            what = f"the {n} x {n} covariance of the finite limits"
+            raise _dense_memory_error(8 * n * n, what) from None
+    return _rectangle_cdf(u[None, keep], mean, cov, tol, seed, max_points)[0]
 
 
 def sample(params: GaussianParams, count: int, seed=None) -> np.ndarray:

@@ -29,8 +29,19 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
-from garma import ArmaSpec, NotPositiveDefiniteError, ToleranceNotReachedError, mvn
+from garma import (ArmaSpec, NotPositiveDefiniteError, ToleranceNotReachedError, _statespace, arma,
+                   mvn)
 from garma._statespace import _STEADY_TOL
+
+# Every memo of a set-up step.
+MEMOS = (arma._poly_roots.memo, arma._solve_head.memo, _statespace._state_space.memo,
+         mvn._scrambles.memo, mvn._sobol_bits.memo)
+
+
+def clear_memos():
+    """Empty every memo of the set-up steps, so the next call computes them."""
+    for memo in MEMOS:
+        memo.clear()
 
 
 def naive_dft(x):

@@ -439,11 +439,11 @@ class TestAcfVector:
         assert "Lag[0]" in text and "1.0000000" in text
 
     def test_str_is_pinned(self):
-        # Columns two wider than the longest label, so a value as wide as
-        # its column runs into the next one.
+        # Columns two wider than the longest label or value, so values never
+        # run together.
         assert str(acf_vector(6, GARMA22, corr=True)) == (
-            "  Lag[0]  Lag[1]  Lag[2]  Lag[3]  Lag[4]  Lag[5]\n"
-            "1.00000000.83519210.52763320.25506820.09852790.0278087"
+            "     Lag[0]     Lag[1]     Lag[2]     Lag[3]     Lag[4]     Lag[5]\n"
+            "  1.0000000  0.8351921  0.5276332  0.2550682  0.0985279  0.0278087"
         )
 
 

@@ -370,6 +370,7 @@ class TestPgarma:
             return original(gen, d)
 
         monkeypatch.setattr(mvn, "_sobol_scramble", counting_scramble)
+        mvn._scrambles.memo.clear()
         rows = np.random.default_rng(3).normal(size=(5, 4))
         tol = 1e-4
         values = pgarma(rows, AR1, tol=tol)
@@ -385,6 +386,16 @@ class TestPgarma:
         assert [r.method for r in results] == ["qmc"] * 5
         assert all(r.error_estimate <= tol for r in results)
         assert np.array_equal(values, [r.value for r in results])
+
+    def test_a_warm_call_draws_no_scramble(self, monkeypatch):
+        rows = np.random.default_rng(3).normal(size=(5, 4))
+        first = pgarma(rows, AR1, tol=1e-4)
+
+        def refuse(gen, d):
+            raise AssertionError("the scrambles of this seed were drawn again")
+
+        monkeypatch.setattr(mvn, "_sobol_scramble", refuse)
+        assert np.array_equal(pgarma(rows, AR1, tol=1e-4), first)
 
     def test_identical_rows_get_identical_values(self):
         x = np.array([0.2, -0.1, 0.4, 0.3])

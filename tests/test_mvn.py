@@ -871,3 +871,64 @@ class TestQmcAllocationLimit:
             assert kind == "InvalidParamError"
             assert float(seconds) < 10.0
             assert message == "not enough memory for the quasi-Monte Carlo CDF in 1200 dimensions"
+
+
+class TestFiniteLimitCopyLimit:
+    """mvn_cdf copies the covariance only when a limit is +inf, and running
+    out of memory for that copy is an InvalidParamError, not a bare
+    MemoryError."""
+
+    def test_all_finite_limits_pass_the_covariance_as_it_is(self, monkeypatch):
+        params = mvn.GaussianParams(np.zeros(3), equicorr(3, 0.5))
+        passed = []
+        original = mvn._rectangle_cdf
+
+        def recording(upper, mean, cov, *rest):
+            passed.append((mean, cov))
+            return original(upper, mean, cov, *rest)
+
+        monkeypatch.setattr(mvn, "_rectangle_cdf", recording)
+        mvn.mvn_cdf([0.1, 0.2, 0.3], params)
+        mvn.mvn_cdf([0.1, np.inf, 0.3], params)
+        assert passed[0][0] is params.mean and passed[0][1] is params.cov
+        assert passed[1][1].shape == (2, 2)
+
+    def test_typed_error_under_a_lowered_address_space_limit(self):
+        pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("RLIMIT_AS is enforced on Linux only")
+        # The child lowers its own limit to what it uses plus 32 MiB, below the
+        # 69 MiB of the 2999 x 2999 copy that one +inf limit asks for.
+        code = textwrap.dedent("""
+            import os, resource, time
+            import numpy as np
+            from garma import InvalidParamError, mvn
+
+            d = 3000
+            lag = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+            params = mvn.GaussianParams(np.zeros(d), 0.5 ** lag)
+            del lag
+            upper = np.zeros(d)
+            upper[0] = np.inf
+            used = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = used + 2**25
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+            began = time.perf_counter()
+            try:
+                mvn.mvn_cdf(upper, params, tol=1e-3)
+                print("returned")
+            except InvalidParamError as exc:
+                print(f"InvalidParamError {time.perf_counter() - began:.3f} {exc}")
+        """)
+        # One BLAS thread, so no thread arenas take part of the headroom.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        kind, seconds, message = result.stdout.strip().split(" ", 2)
+        assert kind == "InvalidParamError"
+        assert float(seconds) < 10.0
+        assert message.startswith(f"cannot allocate {8 * 2999**2} bytes for the 2999 x 2999 covariance")

@@ -22,6 +22,7 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
+from conftest import clear_memos
 
 SHARED = ArmaSpec(ar=(0.5,), ma=(-0.5,))
 NEAR_UNIT = ArmaSpec(ar=(1 - 1e-7,))
@@ -58,3 +59,12 @@ def test_warning_names_the_calling_line(name):
     assert [w.category for w in caught] == expected
     for w in caught:
         assert (w.filename, w.lineno) == (__file__, call.__code__.co_firstlineno)
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_a_second_call_warns_again(name):
+    # The set-up memos keep results, never warnings: the first call computes
+    # the model's roots, the second finds them stored, and both warn.
+    clear_memos()
+    test_warning_names_the_calling_line(name)
+    test_warning_names_the_calling_line(name)
