@@ -135,17 +135,20 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
 
     ``tol`` and ``seed`` configure the quasi-Monte Carlo CDF used when three
     or more free positions remain; the default seed is a fixed documented
-    constant, so repeated calls agree.  A call is randomised once: every row
-    is estimated on the same scrambled Sobol point sets, drawn from the first
-    child of the seed's ``SeedSequence`` (``SeedSequence(seed,
-    spawn_key=(0,))`` for an integer or a list of integers; a given
-    ``SeedSequence`` is not advanced), so every row's value equals
-    ``mvn_cdf(row, ..., seed=<that child>)`` and identical rows get identical
-    values.  A ``Generator`` or ``BitGenerator`` seed is consumed instead, so
-    a second call with the same object gives other estimates.  The scrambles
-    for a seed are drawn once per process and reused by later calls.  Each
-    row's estimate is still unbiased with its own error estimate within
-    ``tol``.
+    constant, so repeated calls agree.  As in :func:`~garma.mvn.mvn_cdf`, a
+    pilot round of 10 x 64 points sizes each row's fresh final round to
+    ``tol``, and only the final round is reported.  A call is randomised
+    once: every row is estimated on the same scrambled Sobol point sets,
+    drawn from the first child of the seed's ``SeedSequence``
+    (``SeedSequence(seed, spawn_key=(0,))`` for an integer or a list of
+    integers; a given ``SeedSequence`` is not advanced), each row reading as
+    many of their points as its own final round needs, so every row's value
+    equals ``mvn_cdf(row, ..., seed=<that child>)`` and identical rows get
+    identical values.  A ``Generator`` or ``BitGenerator`` seed is consumed
+    instead, so a second call with the same object gives other estimates.
+    The scrambles for a seed are drawn once per process and reused by later
+    calls.  Each row's estimate is still unbiased with its own error
+    estimate within ``tol``.
     ``tol`` must be finite and positive even when no row needs it.  An
     all-missing row raises :class:`AllMarginalisedError`; the probability is 1
     by convention only when every kept position is conditioned.

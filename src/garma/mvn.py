@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import pickle
@@ -71,8 +72,10 @@ _INFLATION_EPS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 DEFAULT_CDF_SEED = 1000003
 _DEFAULT_MAX_POINTS = 10_000_000
 _QMC_BATCHES = 10
-# Points one quasi-Monte Carlo pass evaluates at most: all of a first round's
-# engines, and a bound on the arrays of every later round.
+# log2 of the points per engine of the pilot round, and the fewest of a final round.
+_QMC_PILOT_EXPONENT = 6
+# Points one quasi-Monte Carlo pass evaluates at most: several engines' points,
+# or one block of one engine's.
 _QMC_PASS_POINTS = 2**14
 # Bytes the memo of scrambled engines holds at most; one round's engines take
 # about 1.2 d KB in d dimensions.
@@ -196,12 +199,15 @@ class CdfResult:
 
     ``method`` is one of ``closed_form_1d``, ``quadrature_2d``, or ``qmc``.
     ``error_estimate`` is one estimated standard error for the qmc method and
-    a conservative accuracy bound for the deterministic methods.
+    a conservative accuracy bound for the deterministic methods.  ``points``
+    counts the integrand evaluations the qmc method spent on the value, its
+    pilot round included; a deterministic method evaluates one formula.
     """
 
     value: float
     error_estimate: float
     method: str
+    points: int = 1
 
     def __post_init__(self):
         _set_fields(self, value=float(self.value), error_estimate=float(self.error_estimate))
@@ -518,7 +524,14 @@ def _sobol_scramble(gen, d):
 def _children_key(bit_type, children, d):
     """The key of :func:`_scrambles`, which fixes every child."""
     first = children[0]
-    return bit_type, d, len(children), first.pool_size, first.spawn_key, pickle.dumps(first.entropy)
+    return _engines_key(bit_type, d, len(children), first.entropy, first.spawn_key,
+                        first.pool_size)
+
+
+def _engines_key(bit_type, d, count, entropy, spawn_key, pool_size):
+    """The key of :func:`_scrambles` for ``count`` children from the one with
+    ``entropy``, ``spawn_key`` and ``pool_size``, made or not."""
+    return bit_type, d, count, pool_size, spawn_key, pickle.dumps(entropy)
 
 
 @memoised(_SCRAMBLE_MEMO_BYTES, _children_key)
@@ -530,6 +543,32 @@ def _scrambles(bit_type, children, d):
     size, which with ``k`` fix every child, and on ``bit_type`` and ``d``."""
     return tuple(map(np.stack, zip(*(
         _sobol_scramble(np.random.Generator(bit_type(child)), d) for child in children))))
+
+
+def _round_scrambles(seed, d):
+    """The :func:`_scrambles` of each quasi-Monte Carlo round in turn, from
+    the next ``_QMC_BATCHES`` children of the ``SeedSequence`` of a generator
+    seeded with ``seed``.
+
+    A ``Generator`` or ``BitGenerator`` spawns them, so it advances as it
+    would without the memo.  Any other seed's ``SeedSequence`` is one the
+    caller made or copied, which no one else sees, so its children are named
+    by their spawn keys and made only on a memo miss.
+    """
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        bit_gen = np.random.default_rng(seed).bit_generator
+        while True:
+            # numpy 1.23 has no public SeedSequence attribute on a bit generator.
+            yield _scrambles(type(bit_gen), bit_gen._seed_seq.spawn(_QMC_BATCHES), d)
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    bit_type = np.random.PCG64  # default_rng's
+    for first in itertools.count(seq.n_children_spawned, _QMC_BATCHES):
+        keys = [(*seq.spawn_key, i) for i in range(first, first + _QMC_BATCHES)]
+        # The undecorated function, so that the children are made on a miss only.
+        yield _scrambles.memo.get(
+            _engines_key(bit_type, d, _QMC_BATCHES, seq.entropy, keys[0], seq.pool_size),
+            lambda: _scrambles.__wrapped__(bit_type, [np.random.SeedSequence(
+                seq.entropy, spawn_key=key, pool_size=seq.pool_size) for key in keys], d))
 
 
 def _sobol_points(directions, shift, m):
@@ -550,8 +589,18 @@ def _sobol_points(directions, shift, m):
     return (x * 2.0 ** -_SOBOL_BITS).swapaxes(-1, -2)
 
 
-def _sov_mean(ell, u, pts):
-    """Average of the separation-of-variables integrand over unit-cube points
+def _block_shift(directions, shift, start):
+    """The shift whose first ``n`` points are the points ``start .. start +
+    n - 1`` of engines ``(directions, shift)``, for ``start`` a multiple of
+    ``n``, a power of 2: the Gray code of ``start + i`` is that of ``start``
+    XOR that of ``i``."""
+    gray = start ^ (start >> 1)
+    bits = [b for b in range(gray.bit_length()) if gray >> b & 1]
+    return shift ^ np.bitwise_xor.reduce(directions[..., bits], axis=-1)
+
+
+def _sov_sum(ell, u, pts):
+    """Sum of the separation-of-variables integrand over unit-cube points
     ``(..., points, d)``, one per leading index.
 
     Each step is one array operation over every leading index at once; the
@@ -570,56 +619,98 @@ def _sov_mean(ell, u, pts):
         y[i - 1] = np.clip(ndtri(z), -40.0, 40.0).ravel()
         e = ndtr((u[i] - (ell[i, :i] @ y[:i]).reshape(e.shape)) / ell[i, i])
         pv = pv * e
-    return pv.mean(axis=-1)
+    return pv.sum(axis=-1)
+
+
+def _round_estimates(factors, exponents, directions, shifts):
+    """The integrand's mean for each row over the first ``2**e`` points of
+    each engine, ``(rows, engines)``, for the rows' ordered Cholesky factors
+    and limits ``factors`` and their exponents ``e``.
+
+    A pass evaluates at most ``_QMC_PASS_POINTS`` points: as many engines as
+    fit, or one block of that many points of one engine.  Block sums are
+    added in halves, as numpy adds the halves of a whole array, so a mean
+    has the same bits however many blocks it spans.
+    """
+    pass_bits = _QMC_PASS_POINTS.bit_length() - 1
+    out = np.empty((len(factors), len(shifts)))
+    for e in sorted(set(exponents)):
+        rows = [i for i, x in enumerate(exponents) if x == e]
+        m = min(e, pass_bits)
+        width = _QMC_PASS_POINTS >> m
+        sums = np.empty((len(rows), len(shifts), 1 << (e - m)))
+        for start in range(0, len(shifts), width):
+            engines = slice(start, start + width)
+            for block in range(sums.shape[2]):
+                pts = _sobol_points(directions[engines], _block_shift(
+                    directions[engines], shifts[engines], block << m), m)
+                for i, row in enumerate(rows):
+                    sums[i, engines, block] = _sov_sum(*factors[row], pts)
+        while sums.shape[2] > 1:
+            sums = sums[:, :, 0::2] + sums[:, :, 1::2]
+        out[rows] = sums[:, :, 0] / (1 << e)
+    return out
+
+
+def _final_exponent(err, tol, room):
+    """The ``e`` of a final round of ``2**e`` points per engine: the least
+    from ``_QMC_PILOT_EXPONENT`` up with ``err * 2**(6 - e) <= tol / 2``, the
+    pilot's error ``err`` carried at the rate ``N**-1``, but no larger than
+    the engines fit in ``room`` points, and never below the pilot's."""
+    e = _QMC_PILOT_EXPONENT
+    while err * 2.0 ** (_QMC_PILOT_EXPONENT - e) > tol / 2 and _QMC_BATCHES << (e + 1) <= room:
+        e += 1
+    return e
 
 
 def _qmc_cdf(corr, z, tol, seed, max_points):
-    """Quasi-Monte Carlo :func:`_rectangle_cdf` for three or more dimensions.
+    """Quasi-Monte Carlo :func:`_rectangle_cdf` for three or more dimensions,
+    by Stein's (1945) two-stage rule: a pilot round sizes one final round per
+    row, and only a final round is reported.
 
-    Each refinement round scrambles ``_QMC_BATCHES`` Sobol point sets, each
-    from its own child of the ``SeedSequence`` of one generator seeded with
-    ``seed``, and evaluates every row not yet within ``tol`` on them.  The
-    children are spawned in every call, so a given generator advances as it
-    would without the memo of :func:`_scrambles`, which draws the scrambles
-    of a seed once per process.  Each scramble alone gives an unbiased
-    estimate, so every row keeps its own error estimate (Owen 1997).  A
-    round's engines are stacked into passes of at most ``_QMC_PASS_POINTS``
-    points, or one engine where it has more, and each pass is one array
-    evaluation per row.  The point cap is reached by all rows in the same
-    round; the first row still above ``tol`` then raises.  The points do not
-    depend on the installed scipy: they equal those scipy 1.17's
-    ``qmc.Sobol`` draws when it spawns one child of the same generator per
-    engine.
+    Each round scrambles ``_QMC_BATCHES`` Sobol engines, each from its own
+    child of the seed's ``SeedSequence`` (:func:`_round_scrambles`).  Each
+    scramble alone gives an unbiased estimate, so a row's ten give its value
+    and a standard error (Owen 1997).  The pilot has ``2**6`` points per
+    engine.  A row's final round is fresh and has ``2**e`` points per engine,
+    ``e`` by :func:`_final_exponent`, so its size is fixed before it runs
+    and its mean is unbiased.  A final round that misses ``tol`` is followed
+    by a fresh one of four times its points, or, where that would take the
+    row's points, pilot included, past ``max_points``, by a
+    :class:`ToleranceNotReachedError` with the round's estimate.  The pilot
+    and a final round of ``2**6`` points always run.  Rows share each round's
+    scrambles, each reading the first ``2**e`` points of every engine, and
+    no row's outcome depends on another's.  The points do not depend on the
+    installed scipy: they equal those scipy 1.17's ``qmc.Sobol`` draws when
+    it spawns one child of the same generator per engine.
     """
-    d = corr.shape[0] - 1
     factors = [_ordered_cholesky(corr, row) for row in z]
-    bit_gen = np.random.default_rng(seed).bit_generator
-    results = {}
-    exponent = 10
-    total = 0
-    while len(results) < len(factors):
-        todo = [row for row in range(len(factors)) if row not in results]
-        # numpy 1.23 has no public SeedSequence attribute on a bit generator.
-        children = bit_gen._seed_seq.spawn(_QMC_BATCHES)
-        directions, shifts = _scrambles(type(bit_gen), children, d)
-        estimates = np.empty((len(todo), _QMC_BATCHES))
-        width = max(1, _QMC_PASS_POINTS >> exponent)
-        for start in range(0, _QMC_BATCHES, width):
-            engines = slice(start, start + width)
-            pts = _sobol_points(directions[engines], shifts[engines], exponent)
-            for i, row in enumerate(todo):
-                estimates[i, engines] = _sov_mean(*factors[row], pts)
-        total += _QMC_BATCHES << exponent
+    rounds = _round_scrambles(seed, corr.shape[0] - 1)
+    exponents = [_QMC_PILOT_EXPONENT] * len(factors)
+    spent = [0] * len(factors)
+    results = [None] * len(factors)
+    todo, pilot = list(range(len(factors))), True
+    while todo:
+        estimates = _round_estimates([factors[row] for row in todo],
+                                     [exponents[row] for row in todo], *next(rounds))
+        later = []
         for row, est in zip(todo, estimates):
+            spent[row] += _QMC_BATCHES << exponents[row]
             value = float(est.mean())
             err = float(est.std(ddof=1) / math.sqrt(_QMC_BATCHES))
-            if err <= tol:
-                results[row] = CdfResult(value=min(max(value, 0.0), 1.0),
-                                         error_estimate=err, method="qmc")
-            elif total + (_QMC_BATCHES << (exponent + 2)) > max_points:
+            if pilot:
+                exponents[row] = _final_exponent(err, tol, max_points - spent[row])
+            elif err <= tol:
+                results[row] = CdfResult(value=min(max(value, 0.0), 1.0), error_estimate=err,
+                                         method="qmc", points=spent[row])
+                continue
+            elif spent[row] + (_QMC_BATCHES << (exponents[row] + 2)) > max_points:
                 raise ToleranceNotReachedError(value, err)
-        exponent += 2
-    return [results[row] for row in range(len(factors))]
+            else:
+                exponents[row] += 2
+            later.append(row)
+        todo, pilot = later, False
+    return results
 
 
 def _rectangle_cdf(upper, mean, cov, tol, seed, max_points):
@@ -662,28 +753,33 @@ def mvn_cdf(upper, params: GaussianParams, tol: float = 1e-5, seed=DEFAULT_CDF_S
     ``+inf`` components are dropped (they do not constrain), and any ``-inf``
     component makes the probability exactly 0.  One dimension uses the normal
     CDF, two a quadrature accurate to 1e-14 absolute, three or more seeded
-    randomized quasi-Monte Carlo iterated until the estimated standard error
-    is at most ``tol``.  The first round of 10 x 1024 integrand evaluations
-    always runs; each later round quadruples the points and runs only if it
-    keeps the total within ``max_points``.  In ``d >= 3`` dimensions one
-    integrand evaluation costs ``O(d**2)``: step ``i`` sums ``i`` earlier
-    coordinates.  A pass holds about ``17 * d`` bytes per point, its
-    coordinates and the integrand's ``d - 1`` inverse normals, over
-    ``2**14`` points or one scramble's points where those are more
-    (``1024 * 4**(j - 1)`` in round ``j``).  The default seed is a fixed
-    documented constant so repeated calls agree; pass ``seed=None`` for a
-    fresh nondeterministic stream.  The scrambles for a seed are drawn once
-    per process and reused by every later call with that seed and dimension.
-    Only a ``+inf`` limit copies the covariance, without its rows and
-    columns; a copy that does not fit in memory raises
+    randomized quasi-Monte Carlo with an estimated standard error of at most
+    ``tol``, sized by a pilot round (Stein's two-stage rule).  The pilot's 10
+    x 64 integrand evaluations estimate the error; a fresh final round of 10
+    x ``2**e`` then gives the value, ``e`` the smallest from 6 up at which
+    the pilot's error, taken to fall as one over the points, is at most
+    ``tol / 2``, but no larger than keeps the total within ``max_points``.
+    Only the final round is reported, so its mean is unbiased; ``points`` on
+    the result counts every evaluation.  A final round that misses ``tol``
+    is followed by a fresh one of four times the points, if the total stays
+    within ``max_points``.  The pilot and a final round of 10 x 64 always
+    run.  In ``d >= 3`` dimensions one integrand evaluation costs
+    ``O(d**2)``: step ``i`` sums ``i`` earlier coordinates.  A pass holds
+    about ``17 * d`` bytes per point, its coordinates and the integrand's
+    ``d - 1`` inverse normals, over at most ``2**14`` points.  The default
+    seed is a fixed documented constant so repeated calls agree; pass
+    ``seed=None`` for a fresh nondeterministic stream.  The scrambles for a
+    seed are drawn once per process and reused by every later call with that
+    seed and dimension.  Only a ``+inf`` limit copies the covariance, without
+    its rows and columns; a copy that does not fit in memory raises
     :class:`InvalidParamError`.
 
     Raises
     ------
     ToleranceNotReachedError
-        If the error is above ``tol`` when the next round would exceed
-        ``max_points``; the best estimate and its error ride along on the
-        exception.
+        If a final round's error is above ``tol`` and the next round would
+        take the total past ``max_points``; that round's estimate and its
+        error ride along on the exception.
     """
     p = params if isinstance(params, GaussianParams) else GaussianParams(*params)
     u = np.atleast_1d(np.asarray(upper, dtype=float))

@@ -15,9 +15,10 @@ scrambled Sobol oracle runs the direction-number recursion, the scramble and
 the Gray-code walk one bit and one point at a time on Python integers.  The
 quasi-Monte Carlo oracle is the per-engine round the stacked passes replaced:
 a floating-point scramble, one engine's points at a time and one
-integrand call per engine and row.  The filter oracle is the exact Kalman
-filter that computed every transient afresh, with no replay of one already
-seen.
+integrand call per engine and row; run at a fixed size, it gives the
+references the calibration tests measure the adaptive rule against.  The
+filter oracle is the exact Kalman filter that computed every transient
+afresh, with no replay of one already seen.
 """
 
 import math
@@ -292,34 +293,59 @@ def _sov_mean_reference(ell, u, pts):
 
 
 def qmc_cdf_reference(corr, z, tol, seed, max_points):
-    """``mvn._qmc_cdf`` one engine and one row at a time: ten scrambles per
-    round, each engine's points built and integrated on their own."""
+    """``mvn._qmc_cdf`` one engine and one row at a time: a pilot round of ten
+    scrambles of 2**6 points, then for each row a fresh final round of 2**e
+    points, e the least with pilot error * 2**(6 - e) <= tol / 2 within the
+    cap, and fresh rounds of four times the points until one meets ``tol``;
+    each engine's points built and integrated on their own."""
     d = corr.shape[0] - 1
     factors = [mvn._ordered_cholesky(corr, row) for row in z]
     bit_gen = np.random.default_rng(seed).bit_generator
+    exponents = [6] * len(factors)
+    spent = [0] * len(factors)
     results = {}
-    exponent = 10
-    total = 0
+    pilot = True
     while len(results) < len(factors):
-        todo = [row for row in range(len(factors)) if row not in results]
         engines = [_scramble_reference(np.random.Generator(type(bit_gen)(child)), d)
                    for child in bit_gen._seed_seq.spawn(10)]
-        estimates = np.empty((len(todo), 10))
-        for j, engine in enumerate(engines):
-            pts = _points_reference(*engine, exponent)
-            for i, row in enumerate(todo):
-                estimates[i, j] = _sov_mean_reference(*factors[row], pts)
-        total += 10 << exponent
-        for row, est in zip(todo, estimates):
+        for row in range(len(factors)):
+            if row in results:
+                continue
+            est = np.array([
+                _sov_mean_reference(*factors[row], _points_reference(*engine, exponents[row]))
+                for engine in engines])
+            spent[row] += 10 << exponents[row]
             value = float(est.mean())
             err = float(est.std(ddof=1) / math.sqrt(10))
-            if err <= tol:
-                results[row] = mvn.CdfResult(value=min(max(value, 0.0), 1.0),
-                                             error_estimate=err, method="qmc")
-            elif total + (10 << (exponent + 2)) > max_points:
+            if pilot:
+                want = next(e for e in range(6, 64) if err / 2**(e - 6) <= tol / 2)
+                fits = 6
+                while spent[row] + (10 << (fits + 1)) <= max_points:
+                    fits += 1
+                exponents[row] = min(want, fits)
+            elif err <= tol:
+                results[row] = mvn.CdfResult(value=min(max(value, 0.0), 1.0), error_estimate=err,
+                                             method="qmc", points=spent[row])
+            elif spent[row] + (10 << (exponents[row] + 2)) > max_points:
                 raise ToleranceNotReachedError(value, err)
-        exponent += 2
+            else:
+                exponents[row] += 2
+        pilot = False
     return [results[row] for row in range(len(factors))]
+
+
+def qmc_fixed_reference(corr, z, m, seed):
+    """Mean and standard error of one row's integrand over ten scrambled
+    engines of ``2**m`` points each, drawn from the first ten children of
+    ``seed`` as a quasi-Monte Carlo round draws them, one engine at a time."""
+    d = corr.shape[0] - 1
+    factor = mvn._ordered_cholesky(corr, z)
+    bit_gen = np.random.default_rng(seed).bit_generator
+    est = np.array([
+        _sov_mean_reference(*factor, _points_reference(
+            *_scramble_reference(np.random.Generator(type(bit_gen)(child)), d), m))
+        for child in bit_gen._seed_seq.spawn(10)])
+    return float(est.mean()), float(est.std(ddof=1) / math.sqrt(10))
 
 
 def filter_reference(observed, model):

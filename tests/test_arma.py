@@ -3,6 +3,7 @@ matrices."""
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,9 @@ class TestArmaSpec:
     def test_coercion(self):
         spec = ArmaSpec(ar=np.array([0.5]), ma=[0.1, 0.2])
         assert spec.ar == (0.5,) and spec.ma == (0.1, 0.2)
+
+    def test_none_means_no_coefficients(self):
+        assert ArmaSpec(ar=None, ma=None) == ArmaSpec()
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_error_var_domain(self, bad):
@@ -179,6 +183,17 @@ class TestPsiWeights:
             psi_weights(GARMA22, tol=0.0)
         with pytest.raises(InvalidParamError):
             psi_weights(GARMA22, tol=-1e-3)
+
+    def test_too_many_terms_is_typed_before_allocating(self):
+        # 2**24 terms would take 128 MiB; the refusal comes first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParamError, match="within 16777216 terms"):
+                psi_weights(ArmaSpec(ar=(0.999999,)), tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_shared_root_warns(self):
         # phi root at 2, theta root at 2 as well (theta_1 = -1/2).

@@ -319,6 +319,13 @@ class TestCdf:
         )
         assert code == 0
 
+    def test_empty_cond_tokens_are_skipped(self, capsys, tmp_path):
+        path = self.write_series(tmp_path, "1.0,0.5,0.0,-0.2\n")
+        args = ("cdf", "--input", str(path), "--ar", "0.5", "--format", "json", "--cond")
+        want = run_cli(capsys, *args, "1,2")
+        assert want[0] == 0
+        assert run_cli(capsys, *args, "1,,2") == want
+
     def test_seeded_rerun_identical(self, capsys, tmp_path):
         path = self.write_series(tmp_path, "0.1,0.2,0.3\n")
         _, first, _ = run_cli(

@@ -374,8 +374,9 @@ class TestPgarma:
         rows = np.random.default_rng(3).normal(size=(5, 4))
         tol = 1e-4
         values = pgarma(rows, AR1, tol=tol)
-        # Ten scrambles of one round serve all five rows.
-        assert built == [3] * 10
+        # Ten scrambles of the pilot round and ten of the final one serve all
+        # five rows.
+        assert built == [3] * 20
         monkeypatch.undo()
         params = toeplitz_params(AR1, 4)
         results = [

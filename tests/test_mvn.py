@@ -37,6 +37,7 @@ from conftest import (
     norm_cdf,
     plackett_bvn_cdf,
     qmc_cdf_reference,
+    qmc_fixed_reference,
     sobol_reference,
 )
 
@@ -487,6 +488,17 @@ class TestMvnCdf:
         assert (a.value, a.error_estimate) == (fresh.value, fresh.error_estimate)
         assert seq.n_children_spawned == 0
 
+    def test_a_seed_sequence_continues_after_its_spawned_children(self):
+        # Its round children are named by spawn key, not spawned; they are
+        # the ones a generator on the same SeedSequence spawns next.
+        params = mvn.GaussianParams(mean=np.zeros(4), cov=equicorr(4, 0.5))
+        upper = [0.5, 0.3, 0.8, 1.0]
+        seq = np.random.SeedSequence(41)
+        seq.spawn(3)
+        named = mvn.mvn_cdf(upper, params, seed=seq)
+        assert named == mvn.mvn_cdf(upper, params, seed=np.random.Generator(np.random.PCG64(seq)))
+        assert named != mvn.mvn_cdf(upper, params, seed=np.random.SeedSequence(41))
+
     def test_default_seed_is_fixed(self):
         params = mvn.GaussianParams(mean=np.zeros(3), cov=equicorr(3, 0.5))
         a = mvn.mvn_cdf([0.1, 0.2, 0.3], params)
@@ -540,12 +552,12 @@ class TestMvnCdf:
         assert info.value.error_estimate > 1e-12
 
     def test_first_round_ignores_the_point_cap(self):
-        # The cap is checked only before each later round, so the first
-        # round's 10 x 1024 points always run.
+        # The cap bounds only what runs after the pilot and the smallest
+        # final round, so those 2 x 10 x 64 points always run.
         params = mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3))
         upper = [0.5, -0.2, 1.0, 0.0]
         first = mvn.mvn_cdf(upper, params, tol=1e-3, max_points=1)
-        assert first.method == "qmc"
+        assert (first.method, first.points) == ("qmc", 1_280)
         with pytest.raises(ToleranceNotReachedError) as info:
             mvn.mvn_cdf(upper, params, tol=1e-9, max_points=1)
         assert info.value.best_estimate == first.value
@@ -554,33 +566,36 @@ class TestMvnCdf:
 
 class TestQmcPasses:
     """The quasi-Monte Carlo rounds, each evaluated in passes that stack
-    several engines' points, against the per-engine round."""
+    several engines' points, or split one engine's, against the per-engine
+    rounds."""
 
-    # Points spent by the end of rounds 1 to 4; a cap of one of them lets
-    # that many rounds run at most.
-    ROUND_TOTALS = (10_240, 51_200, 215_040, 870_400)
+    # Point caps under which the largest final round beside the pilot has
+    # 2**6 (it always runs), 2**8, 2**12 and 2**16 points per engine.
+    POINT_CAPS = (1, 3_200, 41_600, 1_000_000)
 
     @staticmethod
     def _outcome(cdf, *args):
         try:
-            return [(r.value, r.error_estimate, r.method) for r in cdf(*args)]
+            return [(r.value, r.error_estimate, r.method, r.points) for r in cdf(*args)]
         except ToleranceNotReachedError as err:
             return ("raised", err.best_estimate, err.error_estimate)
 
     @settings(max_examples=30, deadline=None)
-    @given(d=st.integers(3, 12), rows=st.integers(1, 4), rounds=st.integers(1, 4),
+    @given(d=st.integers(3, 12), rows=st.integers(1, 4), cap=st.sampled_from(POINT_CAPS),
            log_tol=st.floats(-6.0, -3.0), seed=st.integers(0, 2**32 - 1))
-    @example(d=12, rows=4, rounds=4, log_tol=-6.0, seed=0)  # raises after round 4
-    @example(d=5, rows=2, rounds=4, log_tol=-5.0, seed=3)  # done in round 4
-    def test_bit_identical_to_per_engine_reference(self, d, rows, rounds, log_tol, seed):
+    @example(d=8, rows=3, cap=3_200, log_tol=-5.0, seed=7)  # raises after the final round
+    @example(d=5, rows=2, cap=1_000_000, log_tol=-5.0, seed=3)  # final rounds of two blocks
+    @example(d=7, rows=2, cap=1_000_000, log_tol=-5.0, seed=17)  # a later round of 2**15
+    @example(d=3, rows=1, cap=1_000_000, log_tol=-6.0, seed=2)  # a final round of four blocks
+    def test_bit_identical_to_per_engine_reference(self, d, rows, cap, log_tol, seed):
         # A strong common factor and limits above the mean keep the
-        # integrand's variance high, so that later rounds run.
+        # integrand's variance high, so that large and later rounds run.
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(d, d + 2))
         a[:, 0] *= 3.0
         corr = mvn._cov_to_corr(a @ a.T)
         z = rng.uniform(0.0, 2.0, size=(rows, d))
-        args = (corr, z, 10.0**log_tol, seed, self.ROUND_TOTALS[rounds - 1])
+        args = (corr, z, 10.0**log_tol, seed, cap)
         assert self._outcome(mvn._qmc_cdf, *args) == self._outcome(qmc_cdf_reference, *args)
 
     def test_peak_memory_of_later_rounds_is_bounded(self):
@@ -598,6 +613,73 @@ class TestQmcPasses:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2**20
+
+
+def ar_corr(m, phi):
+    return phi ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+
+
+def trivariate_orthant(corr):
+    """P(X <= 0) for a standard trivariate normal: 1/8 plus the sum of
+    asin(rho_ij) over the three pairs, over 4 pi."""
+    return 0.125 + sum(math.asin(corr[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))) / (4 * math.pi)
+
+
+class TestQmcCalibration:
+    """The two-stage rule against exact values and 10 x 2**15-point
+    references on a fixed set of seeds: the stated errors cover as Student's
+    t with 9 degrees of freedom does, and no mean strays more than three of
+    its standard errors from the truth.  Every case has its own seeds, and
+    each reference seeds of its own."""
+
+    SEEDS = 24
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(correlation, limits, reference, its standard error) per case."""
+        exact = [(equicorr(m, 0.5), np.zeros(m), 1.0 / (m + 1), 0.0) for m in (3, 4, 5, 6)]
+        exact += [(ar_corr(3, phi), np.zeros(3), trivariate_orthant(ar_corr(3, phi)), 0.0)
+                  for phi in (0.5, -0.7)]
+        limits = [(ar_corr(3, -0.5), [0.2, 1.1, -0.3]), (ar_corr(4, 0.6), [0.3, -0.4, 0.8, 0.1]),
+                  (ar_corr(5, 0.9), [1.0, 0.5, -0.2, 0.7, 1.5])]
+        referenced = [(corr, np.array(z), *qmc_fixed_reference(corr, np.array(z), 15, 10**6 + k))
+                      for k, (corr, z) in enumerate(limits)]
+        return exact + referenced
+
+    @staticmethod
+    def _scores(case, tol, seeds):
+        """Each seed's error over its stated error, and the mean's error over
+        the standard error of the mean, both against the case's reference."""
+        corr, z, want, want_err = case
+        results = [mvn._qmc_cdf(corr, z[None], tol, seed, 10**7)[0] for seed in seeds]
+        values = np.array([r.value for r in results])
+        errors = np.array([r.error_estimate for r in results])
+        assert (errors <= tol).all()
+        z_scores = (values - want) / np.hypot(errors, want_err)
+        mean_err = values.std(ddof=1) / math.sqrt(len(seeds))
+        bias = (values.mean() - want) / np.hypot(mean_err, want_err)
+        return z_scores, bias
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5])
+    def test_coverage_and_bias(self, cases, tol):
+        from scipy.stats import binom, t
+
+        pooled = []
+        for k, case in enumerate(cases):
+            z_scores, bias = self._scores(case, tol, range(100 * k, 100 * k + self.SEEDS))
+            assert abs(bias) <= 3.0, (k, bias)
+            pooled.extend(np.abs(z_scores))
+        for bound in (2.0, 3.0):
+            tail = 2.0 * t.sf(bound, 9)
+            low, high = binom.ppf(1e-3, len(pooled), tail), binom.isf(1e-3, len(pooled), tail)
+            assert low <= np.count_nonzero(np.array(pooled) > bound) <= high, bound
+
+    def test_unbiased_at_a_tight_tolerance(self, cases):
+        # Two trivariate orthants, the cheapest exact cases at the final
+        # rounds of 2**15 to 2**17 points per engine this tolerance takes.
+        for k in (0, 5):
+            _, bias = self._scores(cases[k], 1e-7, range(1000 + 100 * k, 1000 + 100 * k + 12))
+            assert abs(bias) <= 3.0, (k, bias)
 
 
 def scipy_sobol_spawns():
@@ -657,16 +739,19 @@ class TestSobolPoints:
     def test_pinned_cdf_values(self):
         # garma's own stream, so these hold on every supported scipy; the
         # tolerance admits rounding in ndtr and ndtri, not another stream,
-        # which moves the value by about its error estimate.
+        # which moves the value by about its error estimate.  The values are
+        # those of conftest's per-engine qmc_cdf_reference.
         params = mvn.GaussianParams(np.zeros(4), equicorr(4, 0.3))
         result = mvn.mvn_cdf([0.5, -0.2, 1.0, 0.0], params, seed=99)
-        assert result.value == pytest.approx(0.20350045756446494, rel=1e-12, abs=0)
-        assert result.error_estimate == pytest.approx(2.2515176603478164e-06, rel=1e-9, abs=0.0)
+        assert result.value == pytest.approx(0.20349745417420687, rel=1e-12, abs=0)
+        assert result.error_estimate == pytest.approx(1.4141992460903273e-06, rel=1e-9, abs=0.0)
+        assert result.points == 10_880
         cov = 0.6 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
         result = mvn.mvn_cdf([0.3, -0.4, 0.8, 0.1, -0.2, 0.5],
                              mvn.GaussianParams(np.zeros(6), cov), tol=1e-4)
-        assert result.value == pytest.approx(0.11819172595966398, rel=1e-12, abs=0)
-        assert result.error_estimate == pytest.approx(2.0714338839225573e-06, rel=1e-9, abs=0.0)
+        assert result.value == pytest.approx(0.11811406755781957, rel=1e-12, abs=0)
+        assert result.error_estimate == pytest.approx(4.948045880421673e-05, rel=1e-9, abs=0.0)
+        assert result.points == 1_280
 
     def test_too_many_dimensions_is_typed(self):
         assert mvn._sobol_table()[0].shape == (21201,)
@@ -831,8 +916,11 @@ class TestQmcAllocationLimit:
             pytest.skip("RLIMIT_AS is enforced on Linux only")
         # After a small quasi-Monte Carlo CDF has loaded what that path needs,
         # the child lowers its own limit to what it uses plus 128 MiB: the
-        # 1200 x 1200 blocks before the CDF fit, and its first round of
-        # points (94 MiB as floats, beside their 47 MiB of bits) does not.
+        # 1200 x 1200 blocks before the CDF fit, and so does the pilot round
+        # of 640 points, but a pass of the final round's 16,384 points (150
+        # MiB as floats, beside their 75 MiB of bits) does not.  Limits of
+        # about 3 sd keep the probabilities away from 0, so the pilot's error,
+        # near 1e-3, sizes a final round of 2**14 points per engine.
         code = textwrap.dedent("""
             import os, resource, time
             import numpy as np
@@ -842,8 +930,8 @@ class TestQmcAllocationLimit:
             ar1 = mvn.GaussianParams(np.zeros(d), 0.5 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d))))
             mvn.mvn_cdf(np.zeros(3), mvn.GaussianParams(np.zeros(3), np.eye(3)))
             calls = [
-                lambda: mvn.mvn_cdf(np.zeros(d), ar1, tol=1e-3),
-                lambda: pgarma(np.zeros(d), ArmaSpec(ar=(0.5,)), tol=1e-3),
+                lambda: mvn.mvn_cdf(np.full(d, 3.0), ar1, tol=1e-5),
+                lambda: pgarma(np.full(d, 3.5), ArmaSpec(ar=(0.5,)), tol=1e-5),
             ]
             used = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
