@@ -1,17 +1,19 @@
 """A bounded, thread-safe memo for the pure set-up steps of the engines.
 
-A model's roots, its autocovariance head and its state-space form, a seed's
-scrambled Sobol engines and the Sobol direction bits of a dimension depend
-only on their inputs, and a program that evaluates one model or one seed many
-times needs each once.  A key is the exact bits of the inputs, so ``0.0``
-and ``-0.0`` are different keys; a stored array is read-only, so no caller
-can change what a later call reads.  Each memo keeps the entries used last,
-up to a fixed number of bytes.
+A model's checked record (its roots, autocovariance head and state-space
+forms), a seed's scrambled Sobol engines and the Sobol direction bits of a
+dimension depend only on their inputs, and a program that evaluates one model
+or one seed many times needs each once.  A key is the exact bits of the
+inputs, so ``0.0`` and ``-0.0`` are different keys; a stored array is
+read-only, so no caller can change what a later call reads.  Each memo keeps
+the entries used last, up to a fixed number of bytes.
 """
 
 import functools
 import threading
 from collections import OrderedDict
+
+import numpy as np
 
 # Bytes charged to each entry besides its arrays and the bytes in its key:
 # the dict slot, the key and value tuples and the array headers.
@@ -34,8 +36,9 @@ class Memo:
 
     def get(self, key, compute):
         """The result stored for ``key``, else ``compute()`` (an array or a
-        tuple of arrays), made read-only and stored.  A computation that
-        raises stores nothing, so every call with that key raises afresh."""
+        tuple of arrays, made read-only, or an object whose ``nbytes`` counts
+        the read-only arrays it holds), stored.  A computation that raises
+        stores nothing, so every call with that key raises afresh."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -44,7 +47,8 @@ class Memo:
         value = compute()
         arrays = value if isinstance(value, tuple) else (value,)
         for a in arrays:
-            a.setflags(write=False)
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
         size = (_ENTRY_BYTES + sum(len(k) for k in key if isinstance(k, bytes))
                 + sum(a.nbytes for a in arrays))
         with self._lock:

@@ -7,12 +7,14 @@ steps of the filter depend only on the prediction covariance ``P`` they
 start from, so within a pass a run of observed positions that starts from a
 ``P`` already seen, bit for bit, as after each of many equal gaps, replays
 the stored steps: the pass stores and computes each distinct transient once.
-:func:`draw` runs it over every position and adds one backward information
-pass over the conditioned values (Fraser & Potter 1969), to draw each free
-position in index order given every earlier position and the later
+:func:`_conditional_draw` runs it over every position and adds one backward
+information pass over the conditioned values (Fraser & Potter 1969), to draw
+each free position in index order given every earlier position and the later
 conditioned values.  That sequence is the index-order Cholesky factor of the
 conditional covariance, so a seed gives the same draws as
 :func:`garma.mvn.sample` of the conditional moments, up to rounding.
+Each model's :class:`garma.arma._Model` keeps its forms from
+:func:`_state_space`; the sampler's is that of the invertible moving average.
 Durbin & Koopman (2012, *Time Series Analysis by State Space Methods*, ch. 4)
 give the filter and smoother in one notation.
 """
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._memo import memoised
-from .arma import _acvf, _ar_recursion, _invertible_ma
+from .arma import _acvf, _ar_recursion
 from .errors import InvalidParamError, NotPositiveDefiniteError
 from .mvn import _kernels, _normal_log_density
 
@@ -33,47 +34,35 @@ _STEADY_TOL = 1e-15
 # Entries of a power of the transition matrix below this are dropped.
 _NEGLIGIBLE = 2.0**-60
 
-# Bytes the memo of state-space forms holds at most; a form takes 3 r**2 floats.
-_STATE_SPACE_MEMO_BYTES = 1 << 20
 
-
-def log_density(dev, kept, cond, spec, moduli):
+def log_density(dev, kept, cond, model):
     """``log p(kept) - log p(cond)`` for each row of ``dev``, the rows minus the
     mean, which :func:`garma.errors._deviation` has checked at the ``kept``
     positions; conditioned values of zero density raise InvalidParamError.
     Both passes observe the same positions before the first free one, so each
     is summed from it; the kept pass's terms before it are log p(cond there)."""
-    model = _state_space(spec, moduli)
+    form = model.forms
     first = (kept & ~cond).argmax()
-    head, logdens = _filter_log_density(dev, kept, model, first)
-    given = _filter_log_density(dev, cond, model, first)[1] if cond[first:].any() else 0.0
+    head, logdens = _filter_log_density(dev, kept, form, first)
+    given = _filter_log_density(dev, cond, form, first)[1] if cond[first:].any() else 0.0
     bad = np.flatnonzero(np.isinf(head) | np.isinf(given))
     if bad.size:  # log p(kept) - log p(cond) would be -inf minus -inf
         raise InvalidParamError(f"the conditioned values of row {bad[0] + 1} have zero density")
     return logdens - given
 
 
-def draw(dev, cond, spec, moduli, ma_roots, z):
-    """:func:`_conditional_draw` on the invertible moving average with ``spec``'s
-    autocovariances, from deviations :func:`garma.errors._deviation` checked at
-    ``cond``; ``ma_roots`` are ``spec``'s MA roots, or ``None`` if not yet solved."""
-    return _conditional_draw(dev, cond, _state_space(_invertible_ma(spec, ma_roots), moduli), z)
-
-
-@memoised(_STATE_SPACE_MEMO_BYTES, lambda spec, moduli: (
-    spec.p, np.array((*spec.ar, *spec.ma, spec.error_var)).tobytes(), moduli.tobytes()))
-def _state_space(spec, moduli):
-    """Harvey's state-space form of ``spec``, with state size ``r = max(p,
-    q + 1)``: the transition matrix ``T`` (AR coefficients ``phi`` in its
-    first column, ones on its superdiagonal), the innovation covariance ``Q``
-    and the stationary state covariance ``P0``, read-only and memoised on the
-    bits of the coefficients, the innovation variance and ``moduli``.
+def _state_space(model):
+    """Harvey's state-space form of a :class:`garma.arma._Model`, with state
+    size ``r = max(p, q + 1)``: the transition matrix ``T`` (AR coefficients
+    ``phi`` in its first column, ones on its superdiagonal), the innovation
+    covariance ``Q`` and the stationary state covariance ``P0``.
 
     The state is ``a[0] = y[t]`` and, for ``i >= 1``, ``a[i] = sum_{s>=1}
     phi[i+s-1] * y[t-s] + sum_{s>=0} theta[i+s] * e[t-s]`` (``theta[0] =
     1``), so ``P0`` follows exactly from ``gamma(0) .. gamma(r-1)`` and
     ``Cov(y[t-s], e[t-u]) = error_var * psi[u-s]``, without a Lyapunov solve.
     """
+    spec = model.spec
     p, q, var = spec.p, spec.q, spec.error_var
     r = max(p, q + 1)
     phi = np.zeros(r)
@@ -87,7 +76,7 @@ def _state_space(spec, moduli):
         on_y[i, 1:r - i + 1] = phi[i:]
         on_e[i, :r - i] = theta[i:]
     lag = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
-    cov_y = _acvf(spec, r - 1, moduli)[lag]
+    cov_y = _acvf(model, r - 1)[lag]
     cov_ye = var * np.triu(np.array(_ar_recursion(spec.ar, theta.tolist(), 1))[lag])
     cross = on_y @ cov_ye @ on_e.T
     p0 = on_y @ cov_y @ on_y.T + cross + cross.T + var * (on_e @ on_e.T)

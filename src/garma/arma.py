@@ -17,9 +17,10 @@ zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -64,9 +65,9 @@ _MAX_PSI_TERMS = 1 << 24
 # Refinement steps allowed for the autocovariance system before the model is
 # declared too close to the unit circle for double precision.
 _MAX_REFINE_STEPS = 16
-# Bytes the memos of polynomial roots and of autocovariance heads hold at most.
-_ROOTS_MEMO_BYTES = 1 << 18
-_HEAD_MEMO_BYTES = 1 << 18
+# Bytes the memo of checked models holds at most; a model of state size r
+# takes 48 r**2 bytes for its two state-space forms, so r = 148 no longer fits.
+_MODEL_MEMO_BYTES = 1 << 20
 
 
 def _coeff_tuple(values, name):
@@ -184,11 +185,9 @@ class VarianceMatrix:
         return [f"Time[{i}]" for i in self.index_labels]
 
 
-@memoised(_ROOTS_MEMO_BYTES, lambda coeffs: (np.asarray(coeffs, dtype=float).tobytes(),))
 def _poly_roots(coeffs):
     """Roots of ``1 + coeffs[0]*x + ... + coeffs[k-1]*x**k`` via the companion
-    matrix, read-only and memoised on the coefficients' bits; the AR
-    polynomial is ``_poly_roots(-ar)``.
+    matrix; the AR polynomial is ``_poly_roots(-ar)``.
 
     Trailing zero coefficients are trimmed first, so they reduce the degree
     instead of producing spurious infinite roots; a constant has no roots."""
@@ -221,15 +220,33 @@ def validate_stationary(spec: ArmaSpec) -> np.ndarray:
         If an AR root is within 1e-6 of the unit circle, or within 1e-8 of an
         MA root.
     """
-    return _check_model(spec)[0]
+    return _check_model(spec).moduli.copy()
 
 
 def _check_model(spec):
-    """:func:`validate_stationary`, also returning the MA roots it solved (p, q > 0) or ``None``."""
+    """:func:`validate_stationary`'s refusals and warnings; returns the :class:`_Model`."""
     if not isinstance(spec, ArmaSpec):
         raise InvalidParamError(f"spec must be an ArmaSpec, got {type(spec).__name__}")
+    model = _model(spec)
+    if model.min_modulus < 1.0 + _NEAR_UNIT_MARGIN:
+        _warn(NearUnitRootWarning(
+            f"AR root modulus {model.min_modulus:.12g} is within {_NEAR_UNIT_MARGIN:g} "
+            "of the unit circle; results may be ill-conditioned"))
+    if model.shared:
+        _warn(SharedRootWarning(
+            "AR and MA polynomials share a root (within "
+            f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
+            "computation proceeds"))
+    return model
+
+
+@memoised(_MODEL_MEMO_BYTES, lambda spec: (
+    spec.p, np.array((*spec.ar, *spec.ma, spec.error_var)).tobytes()))
+def _model(spec):
+    """The :class:`_Model` of a stationary ``spec``, memoised on the bits of its
+    coefficients and innovation variance; a refused model is not stored."""
     roots = _poly_roots(-np.asarray(spec.ar, dtype=float))
-    moduli, ma_roots = np.abs(roots), None
+    moduli = np.abs(roots)
     if moduli.size:
         min_mod = float(moduli.min())
         if min_mod <= 1.0:
@@ -239,31 +256,66 @@ def _check_model(spec):
                 "an AR root lies within rounding of the unit circle; "
                 "no tail bound exists in double precision"
             )
-        if min_mod < 1.0 + _NEAR_UNIT_MARGIN:
-            _warn(NearUnitRootWarning(
-                f"AR root modulus {min_mod:.12g} is within {_NEAR_UNIT_MARGIN:g} "
-                "of the unit circle; results may be ill-conditioned"))
-        if spec.q:
-            ma_roots = _poly_roots(spec.ma)
-            if np.abs(roots[:, None] - ma_roots).min(initial=math.inf) < _SHARED_ROOT_TOL:
-                _warn(SharedRootWarning(
-                    "AR and MA polynomials share a root (within "
-                    f"{_SHARED_ROOT_TOL:g}); the model is over-parameterised but "
-                    "computation proceeds"))
-    return moduli, ma_roots
+    ma_roots = _poly_roots(spec.ma)
+    shared = np.abs(roots[:, None] - ma_roots).min(initial=math.inf) < _SHARED_ROOT_TOL
+    return _Model(replace(spec, mean=0.0), _read_only(moduli), _read_only(ma_roots), bool(shared))
 
 
-def _invertible_ma(spec, roots=None):
-    """``spec`` with every MA root inside the unit circle moved to its
-    reciprocal, and ``error_var`` scaled so that the spectral density, and
-    with it the law of the series, stays the same.  ``roots`` are the MA
-    roots, solved here if not given.
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class _Model:
+    """A stationary ``spec`` (its mean set to 0, which no set-up step reads)
+    and the set-up its engines share.  The autocovariance ``head`` and the
+    state-space forms are made on first use; ``nbytes`` counts them from the
+    start.  Every array is read-only."""
+
+    def __init__(self, spec, moduli, ma_roots=None, shared=False):
+        self.spec, self.moduli, self.ma_roots, self.shared = spec, moduli, ma_roots, shared
+        self.min_modulus = float(moduli.min(initial=math.inf))
+        self.bound = _cauchy_bound(spec, moduli) if moduli.size else None
+        # Two forms of 3 r**2 floats, the roots (MA roots may be complex) and the head.
+        r = max(spec.p, spec.q + 1)
+        self.nbytes = 8 * (6 * r * r + 2 * spec.p + 3 * spec.q + 2)
+
+    @functools.cached_property
+    def head(self):
+        """``c[0] .. c[q]`` and the solved ``gamma(0) .. gamma(p)`` of
+        :func:`autocovariance`, for unit innovation variance."""
+        phi, p, q = self.spec.ar, self.spec.p, self.spec.q
+        theta = np.concatenate(([1.0], self.spec.ma))
+        psi = np.array(_ar_recursion(phi, [1.0, *self.spec.ma], 1))
+        c = tuple(float(theta[k:] @ psi[: q + 1 - k]) for k in range(q + 1))
+        rhs = np.zeros(p + 1)
+        rhs[: min(p, q) + 1] = c[: p + 1]
+        return c, _read_only(_solve_head(phi, rhs))
+
+    @functools.cached_property
+    def forms(self):
+        """Harvey's state-space form, :func:`garma._statespace._state_space`."""
+        from ._statespace import _state_space  # here, as _statespace imports arma
+        return tuple(map(_read_only, _state_space(self)))
+
+    @functools.cached_property
+    def invertible_forms(self):
+        """The form of :func:`_invertible_ma`, which has the same law."""
+        from ._statespace import _state_space
+        inverted = _invertible_ma(self.spec, self.ma_roots)
+        if inverted is self.spec:
+            return self.forms
+        return tuple(map(_read_only, _state_space(_Model(inverted, self.moduli))))
+
+
+def _invertible_ma(spec, roots):
+    """``spec`` with every MA root inside the unit circle (``roots`` are its MA
+    roots) moved to its reciprocal, and ``error_var`` scaled so that the
+    spectral density, and with it the law of the series, stays the same.
 
     The inside roots are multiplied out into one factor, which is reversed;
     its coefficients stay accurate even when those roots cluster.
     """
-    if roots is None:
-        roots = _poly_roots(spec.ma)
     inside = roots[np.abs(roots) < 1.0]
     if not inside.size:
         return spec
@@ -327,12 +379,12 @@ def psi_weights(spec: ArmaSpec, tol: float = DEFAULT_PSI_TOL) -> PsiWeights:
     in closed form, but never less than ``max(p, q)``.
     """
     tol = _check_tol("tol", tol)
-    moduli = validate_stationary(spec)
+    model = _check_model(spec)
 
     # A pure moving average (or one with all-zero AR coefficients) has no tail.
     trunc, log_tail = spec.q, -math.inf
-    if moduli.size:
-        r, log_m = _cauchy_bound(spec, moduli)
+    if model.bound is not None:
+        r, log_m = model.bound
         log_r, log_scale = math.log(r), log_m - math.log(r - 1.0)
         trunc = max(spec.p, spec.q, _first_lag_below(log_scale, log_r, math.log(tol)))
         log_tail = log_scale - trunc * log_r
@@ -359,12 +411,9 @@ def _dyadic_sum(terms):
     return sum(n << (top - e) for n, e in terms) / (1 << top)
 
 
-@memoised(_HEAD_MEMO_BYTES,
-          lambda phi, rhs: (np.asarray(phi, dtype=float).tobytes(), rhs.tobytes()))
 def _solve_head(phi, rhs):
     """Solve ``gamma(k) - sum_i phi[i-1] * gamma(|k-i|) = rhs[k]``, ``k = 0 ..
-    p``, by iterative refinement with exactly computed residuals; the
-    solution is read-only and memoised on the bits of ``phi`` and ``rhs``.
+    p``, by iterative refinement with exactly computed residuals.
 
     Rounding in the factorisation is amplified by the condition number of the
     system, which grows as AR roots approach the unit circle (about ``1/d**3``
@@ -441,31 +490,24 @@ def autocovariance(spec: ArmaSpec, max_lag: int, rel_tol: float = DEFAULT_PSI_TO
     """
     max_lag = _check_count("max_lag", max_lag, 0)
     rel_tol = _check_tol("rel_tol", rel_tol)
-    moduli = validate_stationary(spec)
-    return AcvSequence(values=_acvf(spec, max_lag, moduli, rel_tol), is_correlation=False)
+    return AcvSequence(values=_acvf(_check_model(spec), max_lag, rel_tol), is_correlation=False)
 
 
-def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
-    """The values of :func:`autocovariance`, for a model whose AR root moduli
-    :func:`validate_stationary` has returned."""
+def _acvf(model, max_lag, rel_tol=DEFAULT_PSI_TOL):
+    """The values of :func:`autocovariance` of a :class:`_Model`."""
+    spec = model.spec
     phi, p, q = spec.ar, spec.p, spec.q
-    theta = np.concatenate(([1.0], spec.ma))
-    psi = np.array(_ar_recursion(phi, [1.0, *spec.ma], 1))
-    c = [float(theta[k:] @ psi[: q + 1 - k]) for k in range(q + 1)]
-
-    rhs = np.zeros(p + 1)
-    rhs[: min(p, q) + 1] = c[: p + 1]
-    head = _solve_head(phi, rhs)
+    c, head = model.head
 
     flush = q  # a pure moving average ends at lag q
-    if moduli.size:
-        r, log_m = _cauchy_bound(spec, moduli)
+    if model.bound is not None:
+        r, log_m = model.bound
         log_bound = 2.0 * log_m - math.log1p(-(r ** -2))
         flush = _first_lag_below(log_bound, math.log(r), math.log(rel_tol * head[0]))
     stop = min(max_lag, flush)
 
     # c[k] for k <= q, zero beyond, under the solved head gamma(0) .. gamma(p).
-    g = (c + [0.0] * stop)[: stop + 1]
+    g = (list(c) + [0.0] * stop)[: stop + 1]
     g[: p + 1] = head[: stop + 1].tolist()
     gamma = np.zeros(max_lag + 1)
     gamma[: stop + 1] = _ar_recursion(phi, g, p + 1)
@@ -473,14 +515,14 @@ def _acvf(spec, max_lag, moduli, rel_tol=DEFAULT_PSI_TOL):
     return spec.error_var * gamma
 
 
-def _covariance(n, spec, moduli):
-    """Toeplitz covariance of ``n`` consecutive observations of a validated
-    model (see :func:`_acvf`).
+def _covariance(n, model):
+    """Toeplitz covariance of ``n`` consecutive observations of a
+    :class:`_Model` (see :func:`_acvf`).
 
     Row ``i`` is the ``n`` entries of ``gamma(n-1) .. gamma(1), gamma(0) ..
     gamma(n-1)`` from entry ``n - 1 - i`` on: a strided view of that vector,
     copied out, so the matrix costs one ``n x n`` copy and no index arrays."""
-    gamma = _acvf(spec, n - 1, moduli)
+    gamma = _acvf(model, n - 1)
     mirrored = np.concatenate((gamma[::-1], gamma[1:]))
     step = mirrored.strides[0]
     try:
@@ -515,8 +557,7 @@ def variance_matrix(n: int, spec: ArmaSpec, cond=None, corr: bool = False) -> Va
         If every position of ``cond`` is marginalised.
     """
     n = _check_count("n", n, 1)
-    moduli = validate_stationary(spec)
-    free_idx, entries = np.arange(n), _covariance(n, spec, moduli)
+    free_idx, entries = np.arange(n), _covariance(n, _check_model(spec))
     if cond is not None:
         _require_free(cond, n)
         free_idx, _, entries = _free_moments(np.zeros(n), entries, cond.state, np.zeros((1, n)))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._statespace import draw, log_density
-from .arma import ArmaSpec, _check_model, _covariance, validate_stationary
+from ._statespace import _conditional_draw, log_density
+from .arma import ArmaSpec, _check_model, _covariance
 from .conditioning import build_pattern
 from .errors import (
     AllConditionedWarning,
@@ -118,13 +118,13 @@ def dgarma(x, spec: ArmaSpec, cond=None, log: bool = False):
     conditioned is the density 1 (log-density 0), by convention, with an
     :class:`AllConditionedWarning`.
     """
-    moduli = validate_stationary(spec)
+    model = _check_model(spec)
     rows = as_series_matrix(x)
     pattern = _row_pattern(rows, cond)
     if not pattern.free_mask.any():
         return _degenerate_unit("density", rows.shape[0], log)
     kept = ~pattern.marg_mask
-    logdens = log_density(_deviation(rows, spec.mean, kept), kept, pattern.cond_mask, spec, moduli)
+    logdens = log_density(_deviation(rows, spec.mean, kept), kept, pattern.cond_mask, model)
     return logdens if log else np.exp(logdens)
 
 
@@ -160,14 +160,14 @@ def pgarma(x, spec: ArmaSpec, cond=None, log: bool = False,
     if isinstance(seed, np.random.SeedSequence):  # its first child, leaving it as it is
         seed = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0),
                                       pool_size=seed.pool_size)
-    moduli = validate_stationary(spec)
+    model = _check_model(spec)
     rows = as_series_matrix(x)
     pattern = _row_pattern(rows, cond)
     if not pattern.free_mask.any():
         return _degenerate_unit("probability", rows.shape[0], log)
     m = rows.shape[1]
     free_idx, cond_means, cond_cov = _free_moments(
-        np.full(m, spec.mean), _covariance(m, spec, moduli), pattern.state, rows
+        np.full(m, spec.mean), _covariance(m, model), pattern.state, rows
     )
     results = _rectangle_cdf(rows[:, free_idx], cond_means, cond_cov, tol, seed,
                              _DEFAULT_MAX_POINTS)
@@ -204,7 +204,7 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
     """
     n, m = _check_count("n", n, 1), _check_count("m", m, 1)
     seed = _check_seed(seed)
-    moduli, ma_roots = _check_model(spec)
+    model = _check_model(spec)
     pattern = build_pattern(condvals=np.full(m, np.nan) if condvals is None else condvals)
     if len(pattern) != m:
         raise DimensionMismatchError(
@@ -218,5 +218,5 @@ def rgarma(n: int, m: int, spec: ArmaSpec, condvals=None, seed=None) -> np.ndarr
 
     z = np.random.default_rng(seed).standard_normal((n, m - np.count_nonzero(cond)))
     dev = _deviation(pattern.values, spec.mean, cond, "condvals")
-    out[:, ~cond] = spec.mean + draw(dev, cond, spec, moduli, ma_roots, z)[:, ~cond]
+    out[:, ~cond] = spec.mean + _conditional_draw(dev, cond, model.invertible_forms, z)[:, ~cond]
     return out

@@ -521,54 +521,36 @@ def _sobol_scramble(gen, d):
     return scrambled, shift
 
 
-def _children_key(bit_type, children, d):
-    """The key of :func:`_scrambles`, which fixes every child."""
-    first = children[0]
-    return _engines_key(bit_type, d, len(children), first.entropy, first.spawn_key,
-                        first.pool_size)
-
-
-def _engines_key(bit_type, d, count, entropy, spawn_key, pool_size):
-    """The key of :func:`_scrambles` for ``count`` children from the one with
-    ``entropy``, ``spawn_key`` and ``pool_size``, made or not."""
-    return bit_type, d, count, pool_size, spawn_key, pickle.dumps(entropy)
-
-
-@memoised(_SCRAMBLE_MEMO_BYTES, _children_key)
-def _scrambles(bit_type, children, d):
+@memoised(_SCRAMBLE_MEMO_BYTES, lambda bit_type, seq, keys, d: (
+    bit_type, d, len(keys), seq.pool_size, keys[0], pickle.dumps(seq.entropy)))
+def _scrambles(bit_type, seq, keys, d):
     """Directions ``(k, d, 30)`` and shifts ``(k, d)`` of the ``k`` engines
     :func:`_sobol_scramble` draws from ``bit_type`` generators seeded with
-    ``children``, consecutive children of one ``SeedSequence``.  They are
-    read-only and memoised on the first child's entropy, spawn key and pool
-    size, which with ``k`` fix every child, and on ``bit_type`` and ``d``."""
+    the children of ``SeedSequence`` ``seq`` with the consecutive spawn
+    ``keys``, made on a miss only; read-only and memoised on what fixes them."""
     return tuple(map(np.stack, zip(*(
-        _sobol_scramble(np.random.Generator(bit_type(child)), d) for child in children))))
+        _sobol_scramble(np.random.Generator(bit_type(np.random.SeedSequence(
+            seq.entropy, spawn_key=key, pool_size=seq.pool_size))), d) for key in keys))))
 
 
 def _round_scrambles(seed, d):
     """The :func:`_scrambles` of each quasi-Monte Carlo round in turn, from
     the next ``_QMC_BATCHES`` children of the ``SeedSequence`` of a generator
-    seeded with ``seed``.
-
-    A ``Generator`` or ``BitGenerator`` spawns them, so it advances as it
-    would without the memo.  Any other seed's ``SeedSequence`` is one the
-    caller made or copied, which no one else sees, so its children are named
-    by their spawn keys and made only on a memo miss.
-    """
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    seeded with ``seed``.  A ``Generator`` or ``BitGenerator`` spawns them, so
+    it advances as it would without the memo; any other seed's
+    ``SeedSequence``, which only the caller sees, is left as it is."""
+    spawns = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    bit_type, seq = np.random.PCG64, seed  # default_rng's bit generator
+    if spawns:
         bit_gen = np.random.default_rng(seed).bit_generator
-        while True:
-            # numpy 1.23 has no public SeedSequence attribute on a bit generator.
-            yield _scrambles(type(bit_gen), bit_gen._seed_seq.spawn(_QMC_BATCHES), d)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    bit_type = np.random.PCG64  # default_rng's
+        bit_type, seq = type(bit_gen), bit_gen._seed_seq  # no public name in numpy 1.23
+    elif not isinstance(seed, np.random.SeedSequence):
+        seq = np.random.SeedSequence(seed)
     for first in itertools.count(seq.n_children_spawned, _QMC_BATCHES):
+        if spawns:
+            seq.spawn(_QMC_BATCHES)
         keys = [(*seq.spawn_key, i) for i in range(first, first + _QMC_BATCHES)]
-        # The undecorated function, so that the children are made on a miss only.
-        yield _scrambles.memo.get(
-            _engines_key(bit_type, d, _QMC_BATCHES, seq.entropy, keys[0], seq.pool_size),
-            lambda: _scrambles.__wrapped__(bit_type, [np.random.SeedSequence(
-                seq.entropy, spawn_key=key, pool_size=seq.pool_size) for key in keys], d))
+        yield _scrambles(bit_type, seq, keys, d)
 
 
 def _sobol_points(directions, shift, m):

@@ -481,9 +481,9 @@ class TestVarianceMatrix:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 200))
     def test_covariance_matches_scipy_toeplitz_bit_for_bit(self, seed, n):
         spec = random_stationary_spec(np.random.default_rng(seed))
-        moduli = validate_stationary(spec)
-        got = arma._covariance(n, spec, moduli)
-        want = toeplitz(arma._acvf(spec, n - 1, moduli))
+        model = arma._check_model(spec)
+        got = arma._covariance(n, model)
+        want = toeplitz(arma._acvf(model, n - 1))
         assert got.shape == want.shape == (n, n)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()

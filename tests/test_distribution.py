@@ -41,12 +41,13 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
-from garma import _statespace, distribution
+from garma import _statespace, arma, distribution
 from conftest import (
     acvf_oracle,
     ar1_bridge_sample,
     ar1_markov_log_density,
     brute_conditional,
+    clear_memos,
     dense_pattern_log_density,
     filter_reference,
     kalman_reference,
@@ -689,7 +690,7 @@ class TestKalmanEngine:
             observed[start:start + max(cut, m // 2)] = False
         observed[rng.integers(m)] = True
 
-        model = _statespace._state_space(spec, validate_stationary(spec))
+        model = _statespace._state_space(arma._check_model(spec))
         pred, gains, index = _statespace._filter(observed, model)
         want_f, want_k = kalman_reference(spec, observed)
         got_f = pred[index[observed], 0, 0]
@@ -739,7 +740,7 @@ class TestKalmanEngine:
         observed[m - min(trail, m):] = False
         observed[rng.integers(m)] = True
 
-        model = _statespace._state_space(spec, validate_stationary(spec))
+        model = _statespace._state_space(arma._check_model(spec))
         pred, gains, index = _statespace._filter(observed, model)
         want_pred, want_gains, want_index = filter_reference(observed, model)
         assert np.array_equal(pred[index[observed]], want_pred[want_index[observed]])
@@ -803,7 +804,7 @@ class TestKalmanEngine:
 
     def test_non_positive_prediction_variance_raises(self):
         spec = ArmaSpec(ar=(0.5,), ma=(0.3,))
-        transition, q_cov, p0 = _statespace._state_space(spec, np.array([2.0]))
+        transition, q_cov, p0 = _statespace._state_space(arma._check_model(spec))
         model = (transition, q_cov, -p0)
         with pytest.raises(NotPositiveDefiniteError):
             _statespace._filter_log_density(np.zeros((1, 4)), np.ones(4, dtype=bool), model)
@@ -932,7 +933,7 @@ class TestSequentialSampler:
         from garma.arma import _invertible_ma, _poly_roots
 
         spec = ArmaSpec(ar=(0.5,), ma=ma, mean=0.3, error_var=1.3)
-        flipped = _invertible_ma(spec)
+        flipped = _invertible_ma(spec, _poly_roots(spec.ma))
         assert np.all(np.abs(_poly_roots(flipped.ma)) >= 1.0)
         assert (flipped.ar, flipped.mean) == (spec.ar, spec.mean)
         want = acvf_oracle(spec, np.arange(6))
@@ -967,8 +968,7 @@ class TestSequentialSampler:
         assert np.all(np.isfinite(draws))
 
     def test_powers_flush_to_zero_never_subnormal(self):
-        moduli = validate_stationary(GARMA22)
-        transition, q_cov, _ = _statespace._state_space(GARMA22, moduli)
+        transition, q_cov, _ = _statespace._state_space(arma._check_model(GARMA22))
         powers, covs = _statespace._power_table(transition, q_cov, 10_000)
         assert 1 < len(powers) < 10_000
         assert not np.any((powers != 0.0) & (np.abs(powers) < np.finfo(float).tiny))
@@ -990,9 +990,20 @@ class TestSequentialSampler:
 
 
 class TestRootsFoundOnce:
-    """Each public entry point solves for the AR roots once."""
+    """Each public entry point solves a model's AR roots, its autocovariance
+    head and its state-space form at most once, on the first call."""
 
     SHARED = ArmaSpec(ar=(0.5,), ma=(-0.5,))
+
+    @staticmethod
+    def counting(monkeypatch, module, name, solved):
+        original = getattr(module, name)
+
+        def count(*args):
+            solved.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
 
     @pytest.mark.parametrize(
         "call",
@@ -1005,31 +1016,31 @@ class TestRootsFoundOnce:
         ],
     )
     def test_ar_roots_solved_once(self, monkeypatch, call):
-        from garma import arma
-
+        # dgarma and rgarma need a form, so for them at most once is once.
         spec = ArmaSpec(ar=(0.8, -0.2), ma=(1.4, 0.3))
         solved = []
-        original = arma._poly_roots
-
-        def counting(coeffs):
-            solved.append(tuple(np.asarray(coeffs, dtype=float)))
-            return original(coeffs)
-
-        monkeypatch.setattr(arma, "_poly_roots", counting)
+        for module, name in ((arma, "_poly_roots"), (arma, "_solve_head"),
+                             (_statespace, "_state_space")):
+            self.counting(monkeypatch, module, name, solved)
+        clear_memos()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             call(spec)
-        assert solved.count((-0.8, 0.2)) == 1
-        with pytest.warns(SharedRootWarning):
-            call(self.SHARED)
+            assert solved.count("_poly_roots") == 2  # the AR and the MA polynomial
+            assert solved.count("_solve_head") == 1
+            assert solved.count("_state_space") <= 1
+            del solved[:]
+            call(spec)
+        assert solved == []
+        for _ in range(2):
+            with pytest.warns(SharedRootWarning):
+                call(self.SHARED)
 
     def test_rgarma_solves_the_ma_roots_once(self, monkeypatch):
         # The model check solves them for its shared-root test; the sampler's
-        # invertible moving average reuses them.
-        from garma import arma
-
+        # invertible moving average reuses them, and a warm call solves none.
         spec = ArmaSpec(ar=(0.5, -0.3), ma=(0.4, 0.2))
-        before = rgarma(2, 10, spec, seed=1)
+        clear_memos()
         solved = []
         original = arma._poly_roots
 
@@ -1038,6 +1049,8 @@ class TestRootsFoundOnce:
             return original(coeffs)
 
         monkeypatch.setattr(arma, "_poly_roots", counting)
+        before = rgarma(2, 10, spec, seed=1)
+        assert solved.count((0.4, 0.2)) == 1
         assert np.array_equal(rgarma(2, 10, spec, seed=1), before)
         assert solved.count((0.4, 0.2)) == 1
 

@@ -1,7 +1,7 @@
-"""The memos of the set-up steps: a call that finds a model's roots, its
-autocovariance head or its state-space form, or a seed's Sobol scrambles,
-already stored gives the bits, the warnings and the errors of a call that
-computes them, and no caller can change what a later call reads."""
+"""The memos of the set-up steps: a call that finds a model's record (its
+roots, autocovariance head and state-space forms) or a seed's Sobol
+scrambles already stored gives the bits, the warnings and the errors of a
+call that computes them, and no caller can change what a later call reads."""
 
 import sys
 import threading
@@ -17,6 +17,7 @@ from garma import (
     GarmaError,
     InvalidParamError,
     NearUnitRootWarning,
+    NonStationaryError,
     acf_vector,
     build_pattern,
     dgarma,
@@ -26,7 +27,7 @@ from garma import (
     validate_stationary,
     variance_matrix,
 )
-from garma import _statespace, arma
+from garma import arma
 from garma._memo import Memo
 from conftest import clear_memos
 
@@ -197,49 +198,108 @@ def test_writing_into_results_changes_no_later_call():
 
 
 def test_stored_arrays_are_read_only():
-    spec = ArmaSpec(ar=(0.6, -0.2), ma=(0.3,))
-    moduli = validate_stationary(spec)
-    stored = [arma._poly_roots(spec.ma), arma._solve_head(spec.ar, np.array([1.0, 0.3, 0.0])),
-              *_statespace._state_space(spec, moduli)]
+    model = arma._check_model(ArmaSpec(ar=(0.6, -0.2), ma=(1.3,)))
+    stored = [model.moduli, model.ma_roots, model.head[1], *model.forms, *model.invertible_forms]
     for array in stored:
         with pytest.raises(ValueError):
             array[...] = 0.0
 
 
 def test_a_refused_model_stores_nothing():
-    # A double AR root 1e-7 from the unit circle: the autocovariance system
-    # does not refine, so every call raises afresh.
-    spec = ArmaSpec(ar=(2 * (1 - 1e-7), -(1 - 1e-7) ** 2))
     clear_memos()
+    for spec, error in ((ArmaSpec(ar=(1.5,)), NonStationaryError),
+                        (ArmaSpec(ar=(1 - 2**-52,)), InvalidParamError)):
+        with pytest.raises(error):
+            validate_stationary(spec)
+        assert len(arma._model.memo) == 0
+    # A double AR root 1e-7 from the unit circle: the record is kept, but the
+    # autocovariance system does not refine, so it keeps no head and every
+    # call warns and raises afresh.
+    spec = ArmaSpec(ar=(2 * (1 - 1e-7), -(1 - 1e-7) ** 2))
     for _ in range(2):
         with pytest.warns(NearUnitRootWarning):
             with pytest.raises(InvalidParamError, match="autocovariance system"):
                 acf_vector(4, spec)
-        assert len(arma._solve_head.memo) == 0
+        assert len(arma._model.memo) == 1
+        assert "head" not in vars(arma._model(spec))
 
 
-# One call per memo on the k-th of many distinct keys.  The memo of Sobol
-# direction bits is left out: it holds some 17,000 of its smallest entries,
-# or one of its largest, which takes 0.2 s to compute.
+def test_a_model_over_the_bound_is_not_stored():
+    # State size 200: its two state-space forms take 1.9 MB.
+    spec = ArmaSpec(ar=(0.5,), ma=[0.9**k for k in range(1, 200)])
+    calls = [lambda: acf_vector(5, spec), lambda: dgarma(np.zeros(6), spec),
+             lambda: rgarma(2, 6, spec, seed=1)]
+    clear_memos()
+    first = [bits(call()) for call in calls]
+    assert arma._model(spec).nbytes > arma._model.memo.max_bytes
+    assert [bits(call()) for call in calls] == first
+    assert len(arma._model.memo) == 0
+
+
+def test_threads_on_one_cold_model():
+    # Eight threads fill the record of one model at once, the head and both
+    # state-space forms included (its MA is not invertible); each gets the
+    # bits of a serial call.
+    spec = ArmaSpec(ar=(0.8, -0.2), ma=(1.4, 0.3), mean=0.5)
+    values = [0.3, -0.4, np.nan, 1.1, 0.2, -0.9, 0.5, 0.0]
+    flags = np.zeros(8, dtype=bool)
+    flags[[1, 6]] = True
+
+    def both():
+        return (dgarma(values, spec, cond=flags, log=True).tobytes(),
+                rgarma(3, 8, spec, condvals=[np.nan, 0.5] + [np.nan] * 6, seed=2).tobytes())
+
+    clear_memos()
+    serial = both()
+    clear_memos()
+    barrier = threading.Barrier(8)
+    got = []
+
+    def work():
+        barrier.wait(timeout=60)
+        got.append(both())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [serial] * 8
+
+
+# One call per memo on the k-th of many distinct keys, named by the memo or
+# by the set-up step whose part of the model record it fills: the roots, the
+# autocovariance head or the state-space form.  The memo of Sobol direction
+# bits is left out: it holds some 17,000 of its smallest entries, or one of
+# its largest, which takes 0.2 s to compute.
 FILLS = {
-    arma._poly_roots: lambda k: arma._poly_roots(np.array([k + 0.5])),
-    arma._solve_head: lambda k: arma._solve_head((0.5,), np.array([k + 1.0, 0.0])),
-    _statespace._state_space: lambda k: _statespace._state_space(
-        ArmaSpec(ar=(0.5,), error_var=k + 1.0), np.array([2.0])),
-    mvn._scrambles: lambda k: mvn._scrambles(np.random.PCG64,
-                                             np.random.SeedSequence(k).spawn(10), 3),
+    "_model": (arma._model, lambda k: arma._model(ArmaSpec(ar=(0.5,), error_var=k + 1.0))),
+    "_poly_roots": (arma._model,
+                    lambda k: arma._check_model(ArmaSpec(ar=(0.5,), ma=(k + 0.5,))).ma_roots),
+    "_solve_head": (arma._model, lambda k: arma._model(ArmaSpec(ar=(0.5,), ma=(k + 0.5,))).head),
+    "_state_space": (arma._model,
+                     lambda k: arma._model(ArmaSpec(ar=(0.5,), error_var=k + 1.0)).forms),
+    "_scrambles": (mvn._scrambles, lambda k: mvn._scrambles(
+        np.random.PCG64, np.random.SeedSequence(k), [(i,) for i in range(10)], 3)),
 }
 
 
-@pytest.mark.parametrize("memoised", FILLS, ids=lambda f: f.__name__)
-def test_memo_stays_within_its_bound(memoised, monkeypatch):
+@pytest.mark.parametrize("step", FILLS)
+def test_memo_stays_within_its_bound(step, monkeypatch):
     # The scrambles are stood in for by zeros of their shapes, which take the
     # bytes of the real ones without their cost; the memo is emptied after.
     # The first key is used again every tenth call, so it is never the least
     # recently used one and stays.
     monkeypatch.setattr(mvn, "_sobol_scramble",
                         lambda gen, d: (np.zeros((d, 30), np.uint32), np.zeros(d, np.uint32)))
-    fill, memo = FILLS[memoised], memoised.memo
+    memoised, fill = FILLS[step]
+    memo = memoised.memo
     try:
         memo.clear()
         first = fill(0)
